@@ -267,7 +267,7 @@ class TimelinessEstimator final : public DeltaController {
   };
 
   Duration clamped(Duration value) const;
-  Duration quantile_of(const Channel& ring) const;
+  Duration quantile_of(const Channel& ring);
   void recompute();
   void evict_idle();
 
@@ -281,6 +281,8 @@ class TimelinessEstimator final : public DeltaController {
   int clean_run_ = 0;
   std::uint64_t observed_ = 0;   ///< total observations (eviction clock)
   std::uint64_t evictions_ = 0;
+  /// quantile_of()'s sort buffer, kept so an observation allocates nothing.
+  std::vector<Duration> sorted_;
 };
 
 /// An externally pinned estimate: no adaptation, signals only counted.

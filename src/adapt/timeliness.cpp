@@ -50,9 +50,10 @@ std::vector<std::pair<int, Duration>> TimelinessEstimator::channel_quantiles()
   return edges;
 }
 
-Duration TimelinessEstimator::quantile_of(const Channel& ring) const {
+Duration TimelinessEstimator::quantile_of(const Channel& ring) {
   if (ring.samples.empty()) return 0;
-  std::vector<Duration> sorted = ring.samples;
+  std::vector<Duration>& sorted = sorted_;
+  sorted.assign(ring.samples.begin(), ring.samples.end());
   std::sort(sorted.begin(), sorted.end());
   // Index of the q-th order statistic of `count` samples: for q == 1 the
   // maximum; a single sample is every quantile of itself.

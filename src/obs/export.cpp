@@ -102,9 +102,17 @@ class Reader {
     return true;
   }
 
-  bool str(std::string& s, std::size_t len) {
+  bool u8(std::uint8_t& v) {
+    if (bytes_.size() - pos_ < 1) return false;
+    v = static_cast<std::uint8_t>(bytes_[pos_]);
+    pos_ += 1;
+    return true;
+  }
+
+  /// A view of the next `len` bytes; valid while the input is.
+  bool view(std::string_view& s, std::size_t len) {
     if (bytes_.size() - pos_ < len) return false;
-    s.assign(bytes_.substr(pos_, len));
+    s = bytes_.substr(pos_, len);
     pos_ += len;
     return true;
   }
@@ -139,7 +147,12 @@ std::string to_chrome_json(const TraceSink& sink) {
     out += "{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":0,\"tid\":";
     out += std::to_string(pid);
     out += ",\"args\":{\"name\":\"";
-    out += pid < 0 ? "unattributed" : ("p" + std::to_string(pid));
+    if (pid < 0) {
+      out += "unattributed";
+    } else {
+      out += 'p';
+      out += std::to_string(pid);
+    }
     out += "\"}}";
   }
 
@@ -241,8 +254,8 @@ bool decode_binary(std::string_view bytes, TraceSink& out) {
   if (!reader.u32(label_count)) return false;
   for (std::uint32_t i = 0; i < label_count; ++i) {
     std::uint32_t len = 0;
-    std::string s;
-    if (!reader.u32(len) || !reader.str(s, len)) return false;
+    std::string_view s;
+    if (!reader.u32(len) || !reader.view(s, len)) return false;
     out.intern(s);
   }
   std::uint64_t event_count = 0;
@@ -250,14 +263,14 @@ bool decode_binary(std::string_view bytes, TraceSink& out) {
   for (std::uint64_t i = 0; i < event_count; ++i) {
     std::uint64_t time = 0, a = 0, b = 0;
     std::uint32_t pid = 0, label = 0;
-    std::string kind_byte;
-    if (!reader.u64(time) || !reader.u32(pid) || !reader.str(kind_byte, 1) ||
+    std::uint8_t kind = 0;
+    if (!reader.u64(time) || !reader.u32(pid) || !reader.u8(kind) ||
         !reader.u64(a) || !reader.u64(b) || !reader.u32(label)) {
       return false;
     }
     out.append(Event{static_cast<std::int64_t>(time),
                      static_cast<std::int32_t>(pid),
-                     static_cast<EventKind>(kind_byte[0]),
+                     static_cast<EventKind>(kind),
                      static_cast<std::int64_t>(a),
                      static_cast<std::int64_t>(b), label});
   }

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+
+#include "tfr/common/contracts.hpp"
 
 namespace tfr::service {
 
@@ -19,7 +22,9 @@ std::uint64_t mix64(std::uint64_t x) {
 }  // namespace
 
 LoadGen::LoadGen(LoadConfig config, std::vector<BoundedQueue*> queues)
-    : cfg_(config), queues_(std::move(queues)) {}
+    : cfg_(config), queues_(std::move(queues)) {
+  TFR_REQUIRE(cfg_.tick >= 1);
+}
 
 int LoadGen::route(std::uint64_t session) const {
   const std::uint64_t h = mix64(session ^ (cfg_.route_seed << 32));
@@ -61,8 +66,61 @@ void LoadGen::offer(sim::Env& env, Request request, int shard) {
   // than the client's own exponential backoff for this attempt.
   const sim::Duration pause = std::max(
       verdict->retry_after, backoff_for(request.session, request.attempts));
-  retries_.push(PendingRetry{now + pause, request, shard});
-  max_retry_heap_ = std::max(max_retry_heap_, retries_.size());
+  schedule_retry(now, PendingRetry{now + pause, request, shard});
+  ++pending_retries_;
+  max_retry_heap_ = std::max(max_retry_heap_, pending_retries_);
+}
+
+void LoadGen::schedule_retry(sim::Time now, const PendingRetry& retry) {
+  if (retry.due <= now) {
+    due_now_.push_back(retry);
+    std::push_heap(due_now_.begin(), due_now_.end(),
+                   std::greater<PendingRetry>{});
+    return;
+  }
+  // Wakes fall every `tick` from now (the current wake, head_): the k-th
+  // is the first at or after the due time.
+  const auto wake = static_cast<std::size_t>(
+      (retry.due - now + cfg_.tick - 1) / cfg_.tick);
+  if (wake >= calendar_.size()) {
+    // Grow to a power of two, unrolling the ring so head_ becomes 0.
+    std::size_t size = calendar_.empty() ? 16 : calendar_.size();
+    while (size <= wake) size *= 2;
+    std::vector<std::vector<PendingRetry>> grown(size);
+    for (std::size_t k = 0; k < calendar_.size(); ++k)
+      grown[k].swap(calendar_[(head_ + k) % calendar_.size()]);
+    calendar_.swap(grown);
+    head_ = 0;
+  }
+  calendar_[(head_ + wake) % calendar_.size()].push_back(retry);
+}
+
+void LoadGen::offer_due_retries(sim::Env& env) {
+  const std::greater<PendingRetry> later;
+  if (!calendar_.empty()) {
+    head_ = (head_ + 1) % calendar_.size();
+    // Swap the bucket out first: offers may grow (and move) the calendar.
+    draining_.swap(calendar_[head_]);
+    std::sort(draining_.begin(), draining_.end(),
+              [](const PendingRetry& x, const PendingRetry& y) {
+                return y > x;
+              });
+  }
+  std::size_t next = 0;
+  while (next < draining_.size() || !due_now_.empty()) {
+    PendingRetry r;
+    if (due_now_.empty() ||
+        (next < draining_.size() && later(due_now_.front(), draining_[next]))) {
+      r = draining_[next++];
+    } else {
+      std::pop_heap(due_now_.begin(), due_now_.end(), later);
+      r = due_now_.back();
+      due_now_.pop_back();
+    }
+    --pending_retries_;
+    offer(env, r.request, r.shard);
+  }
+  draining_.clear();
 }
 
 void LoadGen::emit_counters(sim::Env& env) {
@@ -87,16 +145,12 @@ void LoadGen::emit_counters(sim::Env& env) {
 sim::Process LoadGen::run(sim::Env env) {
   double carry = 0.0;
   std::uint64_t next_session = 0;
-  while (next_session < cfg_.sessions || !retries_.empty()) {
+  while (next_session < cfg_.sessions || pending_retries_ > 0) {
     co_await env.delay(cfg_.tick);
     const sim::Time now = env.now();
     // Due retries first: they have been waiting longer than any fresh
     // arrival this tick.
-    while (!retries_.empty() && retries_.top().due <= now) {
-      const PendingRetry r = retries_.top();
-      retries_.pop();
-      offer(env, r.request, r.shard);
-    }
+    offer_due_retries(env);
     if (next_session < cfg_.sessions) {
       // Open-loop rate is per sim tick; one wake covers `tick` of them.
       carry += cfg_.arrivals_per_tick * static_cast<double>(cfg_.tick);

@@ -12,12 +12,19 @@
 // wakes every `tick` ticks, materialises the arrivals that accumulated
 // (fractional rates carry over), routes each session to its shard by a
 // deterministic hash, and offers it to the shard's bounded queue.  A
-// rejected session becomes a pending retry in a host-side min-heap, due
-// after max(queue's retry-after hint, RetryPolicy backoff for that
-// attempt) plus deterministic jitter — the client side of the
-// reject/retry-after contract, and the mechanism by which overload turns
-// into a measurable retry storm.  After `max_attempts` offers the session
-// is shed (counted, never silently dropped).
+// rejected session becomes a pending retry, due after max(queue's
+// retry-after hint, RetryPolicy backoff for that attempt) plus
+// deterministic jitter — the client side of the reject/retry-after
+// contract, and the mechanism by which overload turns into a measurable
+// retry storm.  After `max_attempts` offers the session is shed (counted,
+// never silently dropped).
+//
+// Pending retries live in a host-side calendar with one bucket per future
+// generator wake: a retry due at t waits in the bucket of the first wake
+// at or after t.  A wake sorts its bucket by (due, session) and offers the
+// retries in that order, merged with any retry that falls due within the
+// same wake (a zero pause), so sessions are re-offered in exactly the
+// order a (due, session) min-heap would pop them.
 //
 // Amplification — offered pushes divided by sessions — is the storm
 // metric: 1.0 when every session is admitted first try, bounded above by
@@ -26,7 +33,6 @@
 #pragma once
 
 #include <cstdint>
-#include <queue>
 #include <vector>
 
 #include "tfr/msg/abd.hpp"
@@ -67,6 +73,7 @@ class LoadGen {
   std::uint64_t admitted() const { return admitted_; }
   std::uint64_t rejected() const { return rejected_; }
   std::uint64_t shed() const { return shed_; }
+  /// Most retries ever pending at once.
   std::size_t max_retry_heap() const { return max_retry_heap_; }
 
   /// Offered pushes per session — the retry-storm amplification factor.
@@ -82,7 +89,7 @@ class LoadGen {
     sim::Time due = 0;
     Request request;
     int shard = 0;
-    /// Min-heap by due time; session id breaks ties deterministically.
+    /// Offer order: by due time; session id breaks ties deterministically.
     friend bool operator>(const PendingRetry& x, const PendingRetry& y) {
       if (x.due != y.due) return x.due > y.due;
       return x.request.session > y.request.session;
@@ -90,15 +97,27 @@ class LoadGen {
   };
 
   void offer(sim::Env& env, Request request, int shard);
+  /// Files a retry in the bucket of the first wake at or after its due
+  /// time; one due within the current wake joins `due_now_`.
+  void schedule_retry(sim::Time now, const PendingRetry& retry);
+  /// Offers every retry due at this wake, in (due, session) order.
+  void offer_due_retries(sim::Env& env);
   int route(std::uint64_t session) const;
   sim::Duration backoff_for(std::uint64_t session, int attempt) const;
   void emit_counters(sim::Env& env);
 
   LoadConfig cfg_;
   std::vector<BoundedQueue*> queues_;
-  std::priority_queue<PendingRetry, std::vector<PendingRetry>,
-                      std::greater<PendingRetry>>
-      retries_;
+  /// Ring of buckets: calendar_[head_] belongs to the current wake and
+  /// calendar_[(head_ + k) % size] holds the retries for the k-th wake
+  /// after it.  Buckets keep their capacity.
+  std::vector<std::vector<PendingRetry>> calendar_;
+  std::size_t head_ = 0;
+  /// The current wake's bucket while it is being offered.
+  std::vector<PendingRetry> draining_;
+  /// Min-heap of retries that fell due within the current wake.
+  std::vector<PendingRetry> due_now_;
+  std::size_t pending_retries_ = 0;
   std::uint64_t started_ = 0;
   std::uint64_t offered_ = 0;
   std::uint64_t admitted_ = 0;

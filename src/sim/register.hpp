@@ -14,10 +14,12 @@
 
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <deque>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -114,6 +116,55 @@ class RegisterSpace {
   std::vector<std::pair<const void*, ValueHasher>> hashers_;
 };
 
+/// A register's trace label, spelled out when a trace asks for it.  An
+/// array cell's label "<array>[<index>]" is formatted into an inline
+/// buffer, so naming a cell allocates nothing unless the array name is
+/// longer than the buffer.
+class RegisterName {
+ public:
+  explicit RegisterName(std::string_view name) : plain_(name) {}
+
+  RegisterName(std::string_view array, std::size_t index) {
+    char digits[20];
+    std::size_t n = 0;
+    do {
+      digits[n++] = static_cast<char>('0' + index % 10);
+      index /= 10;
+    } while (index != 0);
+    const std::size_t size = array.size() + n + 2;
+    char* out = inline_;
+    if (size > sizeof(inline_)) {
+      spill_.resize(size);
+      out = spill_.data();
+    }
+    std::memcpy(out, array.data(), array.size());
+    out += array.size();
+    *out++ = '[';
+    while (n != 0) *out++ = digits[--n];
+    *out = ']';
+    plain_ = size > sizeof(inline_) ? std::string_view(spill_)
+                                    : std::string_view(inline_, size);
+  }
+
+  RegisterName(const RegisterName&) = delete;
+  RegisterName& operator=(const RegisterName&) = delete;
+
+  std::string_view view() const { return plain_; }
+  operator std::string_view() const { return plain_; }
+
+ private:
+  std::string_view plain_;
+  char inline_[48];
+  std::string spill_;
+};
+
+/// Names an array cell after its array: the array's name (which must
+/// outlive the cell) and the cell's index.
+struct CellOf {
+  const std::string* array = nullptr;
+  std::size_t index = 0;
+};
+
 /// One atomic shared register holding a T.  T must be cheaply copyable
 /// (ints, small structs) — exactly what the paper's registers hold.
 template <class T>
@@ -121,14 +172,16 @@ class Register {
  public:
   Register(RegisterSpace& space, T initial, std::string name = {})
       : space_(&space), value_(std::move(initial)), name_(std::move(name)) {
-    uid_ = space_->note_allocated();
-    if (space_->value_capture()) {
-      if constexpr (std::has_unique_object_representations_v<T>) {
-        space_->note_hasher(this, &hash_value);
-      } else {
-        space_->mark_unhashable();
-      }
-    }
+    on_allocated();
+  }
+
+  /// An array cell: named lazily after its array and index.
+  Register(RegisterSpace& space, T initial, CellOf cell)
+      : space_(&space),
+        value_(std::move(initial)),
+        array_name_(cell.array),
+        index_(cell.index) {
+    on_allocated();
   }
 
   Register(const Register&) = delete;
@@ -144,7 +197,11 @@ class Register {
 
   std::uint64_t reads() const { return reads_; }
   std::uint64_t writes() const { return writes_; }
-  const std::string& name() const { return name_; }
+  /// The trace label; the returned object must not outlive the register.
+  RegisterName name() const {
+    if (array_name_ != nullptr) return RegisterName(*array_name_, index_);
+    return RegisterName(name_);
+  }
   /// Stable identity: allocation order within the RegisterSpace (1-based).
   /// Identical runs allocate in identical order, so uids — unlike
   /// addresses — survive re-execution (mcheck's conflict key).
@@ -154,19 +211,26 @@ class Register {
   // remote iff the reader holds no valid cached copy (it then acquires
   // one); a write is always remote and invalidates every other copy.
   // Used by the local-spinning analysis (E15); costs no simulated time.
+  // Pids below 64 keep their bit in an inline mask; only larger pids
+  // touch the fallback vector.
   bool note_read_rmr(Pid pid) const {
     const auto index = static_cast<std::size_t>(pid);
-    if (index < cached_.size() && cached_[index]) return false;
-    if (index >= cached_.size()) cached_.resize(index + 1, false);
-    cached_[index] = true;
+    std::uint64_t* word = &cached_low_;
+    if (index >= 64) {
+      const std::size_t high = index / 64 - 1;
+      if (high >= cached_high_.size()) cached_high_.resize(high + 1, 0);
+      word = &cached_high_[high];
+    }
+    const std::uint64_t bit = std::uint64_t{1} << (index % 64);
+    if ((*word & bit) != 0) return false;
+    *word |= bit;
     return true;
   }
 
   void note_write_rmr(Pid pid) {
-    cached_.assign(cached_.size(), false);
-    const auto index = static_cast<std::size_t>(pid);
-    if (index >= cached_.size()) cached_.resize(index + 1, false);
-    cached_[index] = true;  // the writer retains a valid copy
+    cached_low_ = 0;
+    std::fill(cached_high_.begin(), cached_high_.end(), 0);
+    note_read_rmr(pid);  // the writer retains a valid copy
   }
 
   // Internal: the timed accesses, invoked by the simulator's awaiters at
@@ -185,6 +249,17 @@ class Register {
   }
 
  private:
+  void on_allocated() {
+    uid_ = space_->note_allocated();
+    if (space_->value_capture()) {
+      if constexpr (std::has_unique_object_representations_v<T>) {
+        space_->note_hasher(this, &hash_value);
+      } else {
+        space_->mark_unhashable();
+      }
+    }
+  }
+
   /// Value-hash thunk for RegisterSpace::values_fingerprint(): FNV-1a over
   /// the object representation (only instantiated for types with unique
   /// object representations, so padding cannot leak in).
@@ -205,26 +280,36 @@ class Register {
   std::uint64_t uid_ = 0;
   mutable std::uint64_t reads_ = 0;
   std::uint64_t writes_ = 0;
+  /// A plain register's name; empty for an array cell.
   std::string name_;
-  /// Per-pid "holds a valid cached copy" bits (RMR accounting).
-  mutable std::vector<bool> cached_;
+  /// An array cell's array name and index (null for a plain register).
+  const std::string* array_name_ = nullptr;
+  std::size_t index_ = 0;
+  /// "Holds a valid cached copy" bits (RMR accounting): pids 0..63 in the
+  /// inline mask, pid p >= 64 at bit p % 64 of word p / 64 - 1.
+  mutable std::uint64_t cached_low_ = 0;
+  mutable std::vector<std::uint64_t> cached_high_;
 };
 
 /// Unbounded register array (the paper's x[1..∞]): grows on first touch of
 /// an index.  Indices are 0-based.  Backed by a deque so grown registers
 /// never move (registers are pinned: awaiters hold pointers to them).
+/// Cells refer back to the array's name, so the array cannot move either.
 template <class T>
 class RegisterArray {
  public:
   RegisterArray(RegisterSpace& space, T initial, std::string name = {})
       : space_(&space), initial_(std::move(initial)), name_(std::move(name)) {}
 
+  RegisterArray(const RegisterArray&) = delete;
+  RegisterArray& operator=(const RegisterArray&) = delete;
+  RegisterArray(RegisterArray&&) = delete;
+  RegisterArray& operator=(RegisterArray&&) = delete;
+
   /// Returns the register at `index`, allocating up to it on demand.
   Register<T>& at(std::size_t index) {
-    while (cells_.size() <= index) {
-      cells_.emplace_back(*space_, initial_,
-                          name_ + "[" + std::to_string(cells_.size()) + "]");
-    }
+    while (cells_.size() <= index)
+      cells_.emplace_back(*space_, initial_, CellOf{&name_, cells_.size()});
     return cells_[index];
   }
 

@@ -29,6 +29,7 @@
 #include "tfr/common/contracts.hpp"
 #include "tfr/common/rng.hpp"
 #include "tfr/obs/trace.hpp"
+#include "tfr/sim/frame_pool.hpp"
 #include "tfr/sim/register.hpp"
 #include "tfr/sim/timing.hpp"
 #include "tfr/sim/types.hpp"
@@ -36,6 +37,16 @@
 namespace tfr::sim {
 
 class Simulation;
+
+namespace detail {
+
+/// The frame pool of the simulation behind the first sim::Env among a
+/// coroutine's arguments; null when it takes none.  Process and Task
+/// allocate their frames through it (see frame_pool.hpp).
+template <class... Args>
+FramePool* frame_pool_of(const Args&... args) noexcept;
+
+}  // namespace detail
 
 /// What a pending simulator event will do when it linearizes — the
 /// metadata a SchedulerStrategy needs to reason about conflicts.
@@ -106,6 +117,14 @@ class Process {
     Simulation* sim = nullptr;
     Pid pid = -1;
     std::exception_ptr exception{};
+
+    template <class... Args>
+    static void* operator new(std::size_t size, const Args&... args) {
+      return FramePool::allocate(detail::frame_pool_of(args...), size);
+    }
+    static void operator delete(void* frame, std::size_t size) noexcept {
+      FramePool::deallocate(frame, size);
+    }
 
     Process get_return_object() {
       return Process(
@@ -193,6 +212,10 @@ class Env {
   /// Awaitable delay(d) statement: completes after exactly d ticks.
   auto delay(Duration d) const;
 
+  /// The owning simulation's coroutine frame pool (null for an Env that
+  /// belongs to no simulation).
+  FramePool* frame_pool() const;
+
  private:
   friend class Simulation;
   Env(Simulation* sim, Pid pid) : sim_(sim), pid_(pid) {}
@@ -266,6 +289,9 @@ class Simulation {
   Rng& rng() { return rng_; }
   TimingModel& timing() { return *timing_; }
   RegisterSpace& space() { return space_; }
+  /// Pool for the frames of every coroutine spawned with this simulation's
+  /// Env; it outlives them all and survives reset().
+  FramePool& frame_pool() { return frames_; }
   /// The scheduler strategy, or null when tie-breaks are FIFO.
   SchedulerStrategy* strategy() const { return options_.strategy; }
 
@@ -421,6 +447,8 @@ class Simulation {
   }
   void note_trace(Pid pid, char kind);
 
+  /// Declared first so it is destroyed last, after every frame it owns.
+  FramePool frames_;
   std::unique_ptr<TimingModel> timing_;
   Options options_;
   Rng rng_;
@@ -539,6 +567,28 @@ inline auto Env::delay(Duration d) const {
 
 inline Time Env::now() const { return sim_->now(); }
 inline Rng& Env::rng() const { return sim_->rng(); }
+inline FramePool* Env::frame_pool() const {
+  return sim_ != nullptr ? &sim_->frame_pool() : nullptr;
+}
+
+namespace detail {
+
+inline FramePool* frame_pool_in(const Env& env) noexcept {
+  return env.frame_pool();
+}
+template <class T>
+FramePool* frame_pool_in(const T&) noexcept {
+  return nullptr;
+}
+
+template <class... Args>
+FramePool* frame_pool_of(const Args&... args) noexcept {
+  FramePool* pool = nullptr;
+  ((pool = pool != nullptr ? pool : frame_pool_in(args)), ...);
+  return pool;
+}
+
+}  // namespace detail
 
 inline void Process::promise_type::FinalAwaiter::await_suspend(
     std::coroutine_handle<promise_type> h) noexcept {

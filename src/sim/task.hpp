@@ -24,6 +24,7 @@
 #include <utility>
 
 #include "tfr/common/contracts.hpp"
+#include "tfr/sim/simulation.hpp"
 
 namespace tfr::sim {
 
@@ -50,6 +51,15 @@ struct TaskFinalAwaiter {
 struct TaskPromiseBase {
   std::coroutine_handle<> continuation{};
   std::exception_ptr exception{};
+
+  /// Frames come from the pool of the simulation whose Env the task takes.
+  template <class... Args>
+  static void* operator new(std::size_t size, const Args&... args) {
+    return FramePool::allocate(frame_pool_of(args...), size);
+  }
+  static void operator delete(void* frame, std::size_t size) noexcept {
+    FramePool::deallocate(frame, size);
+  }
 
   std::suspend_always initial_suspend() noexcept { return {}; }
   TaskFinalAwaiter final_suspend() noexcept { return {}; }

@@ -1,7 +1,6 @@
 #include "tfr/spec/linearizability.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <set>
 #include <utility>
 
@@ -12,63 +11,172 @@ namespace tfr::spec {
 
 namespace {
 
+/// Wing–Gong search with the minimal candidates of each level read off
+/// two doubly linked lists of the unchosen operations — one in invocation
+/// order, one in response order — instead of two full scans.  Choosing an
+/// operation unlinks it from both lists and backtracking relinks it in
+/// LIFO order (dancing links), so the minimum response is always the head
+/// of the response list and the candidates are the prefix of the
+/// invocation list invoked no later than it.  Candidates are tried in
+/// input-index order, exactly as a scan would find them, so the verdict,
+/// the witness and the explored-state count do not depend on this
+/// representation.  The search is iterative: a sequential history of n
+/// operations checks in O(n log n) time without deep recursion.
 class Checker {
  public:
   Checker(const std::vector<Operation>& ops, const SequentialModel& model)
-      : ops_(ops), chosen_(ops.size(), false) {
-    root_ = model.clone();
+      : ops_(ops), root_(model.clone()) {
+    const std::size_t n = ops.size();
+    std::vector<std::size_t> order(n);
+    for (std::size_t i = 0; i < n; ++i) order[i] = i;
+    by_invoke_ = link(order, [&](std::size_t a, std::size_t b) {
+      return ops[a].invoked_at < ops[b].invoked_at;
+    });
+    by_response_ = link(order, [&](std::size_t a, std::size_t b) {
+      return ops[a].responded_at < ops[b].responded_at;
+    });
   }
 
   LinearizabilityResult run() {
     LinearizabilityResult result;
-    result.linearizable = dfs(*root_);
+    result.linearizable = search();
     result.states_explored = explored_;
     if (result.linearizable) result.witness = order_;
     return result;
   }
 
  private:
-  bool dfs(SequentialModel& model) {
-    ++explored_;
-    if (order_.size() == ops_.size()) return true;
+  /// Unchosen operations in one order; node ops_.size() is the sentinel.
+  struct List {
+    std::vector<std::size_t> prev;
+    std::vector<std::size_t> next;
 
-    // Real-time constraint: an operation may be linearized next only if no
-    // *unchosen* operation completed before it was invoked.
-    std::int64_t min_response = std::numeric_limits<std::int64_t>::max();
-    for (std::size_t i = 0; i < ops_.size(); ++i) {
-      if (!chosen_[i]) min_response = std::min(min_response, ops_[i].responded_at);
+    std::size_t head() const { return next.back(); }
+    void unlink(std::size_t i) {
+      next[prev[i]] = next[i];
+      prev[next[i]] = prev[i];
     }
+    void relink(std::size_t i) {
+      next[prev[i]] = i;
+      prev[next[i]] = i;
+    }
+  };
 
-    for (std::size_t i = 0; i < ops_.size(); ++i) {
-      if (chosen_[i]) continue;
-      if (ops_[i].invoked_at > min_response) continue;  // not minimal
-      auto next = model.clone();
-      const std::int64_t produced = next->apply(ops_[i].op, ops_[i].arg);
-      if (produced != ops_[i].result) continue;  // model disagrees
-      if (ops_.size() <= 64) {
-        const std::uint64_t mask = chosen_mask() | (std::uint64_t{1} << i);
-        if (!seen_.insert({mask, next->fingerprint()}).second) continue;
+  /// One search level: the model state after the chosen prefix and the
+  /// level's candidates, cands_[begin, end).
+  struct Level {
+    std::unique_ptr<SequentialModel> model;
+    std::size_t begin = 0;
+    std::size_t end = 0;
+    std::size_t next = 0;       ///< next candidate to try
+    std::size_t chosen = kNone; ///< candidate currently descended into
+  };
+
+  static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+
+  template <class Less>
+  List link(std::vector<std::size_t> order, Less less) const {
+    std::stable_sort(order.begin(), order.end(), less);
+    const std::size_t sentinel = ops_.size();
+    List list;
+    list.prev.assign(sentinel + 1, sentinel);
+    list.next.assign(sentinel + 1, sentinel);
+    std::size_t last = sentinel;
+    for (std::size_t i : order) {
+      list.next[last] = i;
+      list.prev[i] = last;
+      last = i;
+    }
+    list.next[last] = sentinel;
+    list.prev[sentinel] = last;
+    return list;
+  }
+
+  /// Enters a level: counts the state and, unless every operation is
+  /// chosen, collects its minimal candidates.  True when the level is a
+  /// complete linearization.
+  bool enter(std::unique_ptr<SequentialModel> model) {
+    ++explored_;
+    Level level;
+    level.model = std::move(model);
+    level.begin = level.next = cands_.size();
+    const bool complete = order_.size() == ops_.size();
+    if (!complete) {
+      // Real-time constraint: an operation may be linearized next only if
+      // no *unchosen* operation completed before it was invoked.
+      const std::int64_t min_response =
+          ops_[by_response_.head()].responded_at;
+      const std::size_t sentinel = ops_.size();
+      for (std::size_t i = by_invoke_.head();
+           i != sentinel && ops_[i].invoked_at <= min_response;
+           i = by_invoke_.next[i]) {
+        cands_.push_back(i);
       }
-      chosen_[i] = true;
-      order_.push_back(i);
-      if (dfs(*next)) return true;
-      order_.pop_back();
-      chosen_[i] = false;
+      std::sort(cands_.begin() + static_cast<std::ptrdiff_t>(level.begin),
+                cands_.end());
+    }
+    level.end = cands_.size();
+    levels_.push_back(std::move(level));
+    return complete;
+  }
+
+  void choose(std::size_t i) {
+    by_invoke_.unlink(i);
+    by_response_.unlink(i);
+    order_.push_back(i);
+    if (ops_.size() <= 64) mask_ |= std::uint64_t{1} << i;
+  }
+
+  void release(std::size_t i) {
+    by_response_.relink(i);
+    by_invoke_.relink(i);
+    order_.pop_back();
+    if (ops_.size() <= 64) mask_ &= ~(std::uint64_t{1} << i);
+  }
+
+  bool search() {
+    if (enter(std::move(root_))) return true;
+    while (!levels_.empty()) {
+      Level& level = levels_.back();
+      if (level.chosen != kNone) {
+        release(level.chosen);
+        level.chosen = kNone;
+      }
+      std::unique_ptr<SequentialModel> next;
+      while (level.next < level.end) {
+        const std::size_t i = cands_[level.next++];
+        auto candidate = level.model->clone();
+        const std::int64_t produced =
+            candidate->apply(ops_[i].op, ops_[i].arg);
+        if (produced != ops_[i].result) continue;  // model disagrees
+        if (ops_.size() <= 64) {
+          const std::uint64_t mask = mask_ | (std::uint64_t{1} << i);
+          if (!seen_.insert({mask, candidate->fingerprint()}).second)
+            continue;
+        }
+        level.chosen = i;
+        next = std::move(candidate);
+        break;
+      }
+      if (next == nullptr) {
+        cands_.resize(level.begin);
+        levels_.pop_back();
+        continue;
+      }
+      choose(level.chosen);
+      if (enter(std::move(next))) return true;
     }
     return false;
   }
 
-  std::uint64_t chosen_mask() const {
-    std::uint64_t mask = 0;
-    for (std::size_t i = 0; i < chosen_.size(); ++i)
-      if (chosen_[i]) mask |= std::uint64_t{1} << i;
-    return mask;
-  }
-
   const std::vector<Operation>& ops_;
   std::unique_ptr<SequentialModel> root_;
-  std::vector<bool> chosen_;
+  List by_invoke_;
+  List by_response_;
+  std::vector<Level> levels_;
+  std::vector<std::size_t> cands_;
   std::vector<std::size_t> order_;
+  std::uint64_t mask_ = 0;  ///< chosen set, for histories of <= 64 ops
   std::set<std::pair<std::uint64_t, std::uint64_t>> seen_;
   std::uint64_t explored_ = 0;
 };

@@ -9,9 +9,10 @@
 // The search is the classic Wing–Gong recursion: repeatedly pick a
 // *minimal* pending operation (one invoked before every unchosen
 // operation's response), try it against the model, and backtrack on
-// mismatch.  Exponential in the worst case; intended for the moderately
-// sized histories our tests generate.  A memoization set over (chosen-set,
-// model fingerprint) prunes re-exploration.
+// mismatch.  Exponential in the worst case, but a level costs only its
+// candidates (plus a sort of them), so a nearly sequential history checks
+// in O(n log n).  For histories of at most 64 operations, a memoization
+// set over (chosen-set, model fingerprint) prunes re-exploration.
 
 #pragma once
 

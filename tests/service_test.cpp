@@ -163,6 +163,43 @@ TEST(ServiceLoadGen, AdmitsEverythingWhenQueueHasRoom) {
   EXPECT_EQ(queue.size(), 600u);
 }
 
+// Zero-pause retries: a capacity-0 queue rejects with a zero retry-after
+// hint, and with no backoff or jitter every retry falls due the instant it
+// is rejected.  A fresh arrival's first retry waits for the next wake (due
+// retries are offered before arrivals); there it is re-offered again and
+// again within that one wake until it is shed.
+TEST(ServiceLoadGen, ZeroPauseRetriesAreReofferedWithinTheWake) {
+  sim::Simulation s(sim::make_uniform_timing(1, 10), {.seed = 5});
+  service::BoundedQueue queue(0, 10);
+  service::LoadConfig load = storm_load(40, 1.0, 3);
+  load.retry.backoff = 0;
+  load.retry.max_backoff = 0;
+  load.retry.jitter = 0;
+  service::LoadGen gen(load, {&queue});
+  s.spawn([&gen](sim::Env env) { return gen.run(env); });
+  const auto finished = [&gen] { return gen.finished(); };
+
+  // Wake 10 brings 10 arrivals (rate 1.0, tick 10): one offer each.
+  s.run(10, finished);
+  EXPECT_EQ(gen.sessions_started(), 10u);
+  EXPECT_EQ(gen.offered_pushes(), 10u);
+  EXPECT_EQ(gen.shed(), 0u);
+  // Wake 20 offers each of them twice more — both zero-pause retries in
+  // the same wake — and sheds all ten, before its own ten arrive.
+  s.run(20, finished);
+  EXPECT_EQ(gen.sessions_started(), 20u);
+  EXPECT_EQ(gen.offered_pushes(), 10u + 10u * 2u + 10u);
+  EXPECT_EQ(gen.shed(), 10u);
+
+  s.run(100'000'000, finished);
+  ASSERT_TRUE(gen.finished());
+  EXPECT_EQ(gen.admitted(), 0u);
+  EXPECT_EQ(gen.shed(), 40u);
+  EXPECT_EQ(gen.offered_pushes(), 40u * 3u);
+  EXPECT_EQ(gen.max_retry_heap(), 10u);  // one wake's arrivals at a time
+  EXPECT_EQ(s.now(), 50);  // the last arrivals are shed one wake later
+}
+
 // --- End-to-end scenario ----------------------------------------------
 
 msg::RetryPolicy test_retry() {
@@ -219,6 +256,28 @@ TEST(ServiceScenario, ServesEverySessionBelowSaturation) {
   EXPECT_EQ(static_cast<std::uint64_t>(report.latency.count()), 5'000u);
   // Batching amortises: far fewer quorum ops than sessions.
   EXPECT_LT(report.abd_operations, report.served / 4);
+}
+
+// The retry calendar offers retries in exactly the (due, session) order
+// of the min-heap it replaced: on an overloaded run that rejects, retries
+// and sheds, every storm counter and latency percentile equals the value
+// the heap produced for the same seed.
+TEST(ServiceScenario, OverloadRetryStormMatchesTheHeapOrder) {
+  service::ServiceConfig config = small_config(6'000);
+  config.load.arrivals_per_tick = 0.5;  // ~4x capacity
+  config.shard.queue_capacity = 64;
+  const service::ServiceReport report = service::run_service(config);
+  ASSERT_TRUE(report.complete());
+  EXPECT_EQ(report.served, 1'397u);
+  EXPECT_EQ(report.shed, 4'603u);
+  EXPECT_EQ(report.rejected, 30'859u);
+  EXPECT_EQ(report.offered_pushes, 32'256u);
+  EXPECT_DOUBLE_EQ(report.amplification, 32'256.0 / 6'000.0);
+  EXPECT_EQ(report.max_retry_heap, 1'934u);
+  EXPECT_DOUBLE_EQ(report.latency.percentile(50.0), 4'445.0);
+  EXPECT_DOUBLE_EQ(report.latency.percentile(99.0), 7'495.0);
+  EXPECT_DOUBLE_EQ(report.latency.percentile(99.9), 7'543.0);
+  EXPECT_DOUBLE_EQ(report.latency.max(), 7'543.0);
 }
 
 TEST(ServiceScenario, OutageBacksUpThenDrainsWithinBound) {

@@ -4,7 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <string_view>
 #include <vector>
+
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#endif
 
 #include "tfr/common/contracts.hpp"
 #include "tfr/sim/monitor.hpp"
@@ -237,6 +243,36 @@ TEST(Registers, ArrayCellsAreStable) {
   EXPECT_EQ(arr.at(999).peek(), -1);
 }
 
+TEST(Registers, ArrayCellsNameThemselvesLazily) {
+  RegisterSpace space;
+  Register<int> plain(space, 0, "flag");
+  EXPECT_EQ(plain.name().view(), "flag");
+  RegisterArray<int> arr(space, 0, "x");
+  EXPECT_EQ(arr.at(0).name().view(), "x[0]");
+  EXPECT_EQ(arr.at(1234).name().view(), "x[1234]");
+  RegisterArray<int> unnamed(space, 0);
+  EXPECT_EQ(unnamed.at(7).name().view(), "[7]");
+  // A name longer than the inline buffer still spells out in full.
+  const std::string long_name(100, 'a');
+  RegisterArray<int> wide(space, 0, long_name);
+  EXPECT_EQ(wide.at(42).name().view(), long_name + "[42]");
+}
+
+TEST(Registers, RmrBitsCoverPidsAboveTheInlineMask) {
+  RegisterSpace space;
+  Register<int> reg(space, 0);
+  for (Pid pid : {0, 63, 64, 200}) {
+    EXPECT_TRUE(reg.note_read_rmr(pid)) << pid;   // first read misses
+    EXPECT_FALSE(reg.note_read_rmr(pid)) << pid;  // then it is cached
+  }
+  reg.note_write_rmr(200);  // invalidates every other copy
+  EXPECT_FALSE(reg.note_read_rmr(200));
+  for (Pid pid : {0, 63, 64}) EXPECT_TRUE(reg.note_read_rmr(pid)) << pid;
+  reg.note_write_rmr(5);
+  EXPECT_FALSE(reg.note_read_rmr(5));
+  EXPECT_TRUE(reg.note_read_rmr(200));
+}
+
 TEST(Registers, AccessCountsViaSimulation) {
   Simulation s(make_fixed_timing(1));
   Cell c(s.space());
@@ -400,6 +436,66 @@ TEST(DecisionMonitor, FlagsInventedValues) {
   EXPECT_FALSE(mon.validity_holds());
 }
 
+
+// --- Frame pool --------------------------------------------------------
+
+Process note_frame(Env env, const int** local_at) {
+  int local = 7;
+  *local_at = &local;  // lives in the coroutine frame
+  co_await env.delay(1);
+  EXPECT_EQ(local, 7);
+}
+
+TEST(FramePool, ResetRecyclesFramesIntoTheSameBlocks) {
+  Simulation s(make_fixed_timing(1));
+  const int* first = nullptr;
+  s.spawn([&](Env env) { return note_frame(env, &first); });
+  s.run();
+  const std::size_t blocks = s.frame_pool().blocks();
+  EXPECT_EQ(blocks, 1u);
+  s.reset(1);
+  const int* second = nullptr;
+  s.spawn([&](Env env) { return note_frame(env, &second); });
+  s.run();
+  EXPECT_EQ(second, first);  // the freed frame came back from the pool
+  EXPECT_EQ(s.frame_pool().blocks(), blocks);
+}
+
+Process add_five_times(Env env, Register<int>& reg) {
+  for (int i = 0; i < 5; ++i) {
+    const int v = co_await add_task(env, reg, 1);
+    (void)v;
+  }
+}
+
+TEST(FramePool, TasksShareTheirSimulationsPool) {
+  Simulation s(make_fixed_timing(1));
+  Cell c(s.space());
+  s.spawn([&](Env env) { return add_five_times(env, c.reg); });
+  s.run();
+  EXPECT_EQ(c.reg.peek(), 5);
+  // One process frame plus one task frame, reused by every later task.
+  EXPECT_EQ(s.frame_pool().blocks(), 2u);
+}
+
+#if defined(__SANITIZE_ADDRESS__)
+TEST(FramePool, PooledFramesArePoisonedUnderAsan) {
+  Simulation s(make_fixed_timing(1));
+  const int* local = nullptr;
+  s.spawn([&](Env env) { return note_frame(env, &local); });
+  s.run();
+  ASSERT_NE(local, nullptr);
+  EXPECT_FALSE(__asan_address_is_poisoned(local));  // done, not destroyed
+  s.reset(1);
+  EXPECT_TRUE(__asan_address_is_poisoned(local));  // on the free list
+  const int* reused = nullptr;
+  s.spawn([&](Env env) { return note_frame(env, &reused); });
+  EXPECT_EQ(reused, nullptr);  // spawned, not yet started
+  s.run();
+  EXPECT_EQ(reused, local);
+  EXPECT_FALSE(__asan_address_is_poisoned(reused));
+}
+#endif
 
 TEST(Simulation, ScheduledCallbacksRunAtTheirInstant) {
   Simulation s(make_fixed_timing(10));
