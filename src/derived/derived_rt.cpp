@@ -20,31 +20,6 @@ RtMultiConsensus::RtMultiConsensus(Config config)
   TFR_REQUIRE(config.bits >= 1 && config.bits <= 62);
 }
 
-int RtMultiConsensus::propose_bit(int bit, int input) {
-  TFR_REQUIRE(input == 0 || input == 1);
-  int v = input;
-  std::size_t r = 0;
-  for (;;) {
-    const std::int64_t decided =
-        decide_.at(static_cast<std::size_t>(bit)).read();
-    if (decided != -1) return static_cast<int>(decided);
-    const std::size_t lane = cell(bit, r);
-    (v == 0 ? x0_ : x1_).at(lane).write(1);
-    const int proposal = y_.at(lane).read();
-    if (proposal == -1) y_.at(lane).write(v);
-    const int conflicting = (v == 0 ? x1_ : x0_).at(lane).read();
-    if (conflicting == 0) {
-      decide_.at(static_cast<std::size_t>(bit))
-          .write(static_cast<std::int64_t>(v));
-    } else {
-      spin_for(config_.delta);
-      v = y_.at(lane).read();
-      TFR_INVARIANT(v != -1);
-      r += 1;
-    }
-  }
-}
-
 std::int64_t RtMultiConsensus::propose(std::int64_t value) {
   TFR_REQUIRE(value >= 0);
   TFR_REQUIRE(config_.bits >= 62 ||
@@ -55,7 +30,13 @@ std::int64_t RtMultiConsensus::propose(std::int64_t value) {
     (b == 0 ? witness0_ : witness1_)
         .at(static_cast<std::size_t>(k))
         .write(candidate);
-    const int decided = propose_bit(k, b);
+    const int decided =
+        RtConsensus::run_rounds(x0_, x1_, y_,
+                                decide_.at(static_cast<std::size_t>(k)),
+                                static_cast<std::size_t>(config_.bits),
+                                static_cast<std::size_t>(k), b,
+                                {.delta = config_.delta})
+            .value;
     if (decided != b) {
       const std::int64_t adopted = (decided == 0 ? witness0_ : witness1_)
                                        .at(static_cast<std::size_t>(k))
@@ -73,9 +54,9 @@ std::int64_t RtMultiConsensus::propose(std::int64_t value) {
 std::int64_t RtMultiConsensus::decided() const {
   std::int64_t value = 0;
   for (int k = 0; k < config_.bits; ++k) {
-    const std::int64_t d = decide_.peek(static_cast<std::size_t>(k), -1);
+    const int d = decide_.peek(static_cast<std::size_t>(k), -1);
     if (d == -1) return -1;
-    value |= d << k;
+    value |= std::int64_t{d} << k;
   }
   return value;
 }
@@ -143,11 +124,13 @@ RtLongLivedTestAndSet::RtLongLivedTestAndSet(Nanos delta, int n)
 
 RtElection& RtLongLivedTestAndSet::election(std::size_t generation) {
   TFR_REQUIRE(generation < kMaxGenerations);
+  // mo-ok: acquire pairs with the release below; the prefix is built.
   if (generation < elections_ready_.load(std::memory_order_acquire))
     return *elections_[generation];
   std::lock_guard<std::mutex> guard(grow_mutex_);
   while (elections_.size() <= generation)
     elections_.push_back(std::make_unique<RtElection>(delta_));
+  // mo-ok: release publishes the elections constructed above.
   elections_ready_.store(elections_.size(), std::memory_order_release);
   return *elections_[generation];
 }
@@ -197,6 +180,7 @@ RtUniversal::RtUniversal(
 
 RtMultiConsensus& RtUniversal::slot(std::size_t index) {
   TFR_REQUIRE(index < kMaxUniversalSlots);
+  // mo-ok: acquire pairs with the release below; the prefix is built.
   if (index < slots_ready_.load(std::memory_order_acquire))
     return *slots_[index];
   std::lock_guard<std::mutex> guard(grow_mutex_);
@@ -205,6 +189,7 @@ RtMultiConsensus& RtUniversal::slot(std::size_t index) {
         RtMultiConsensus::Config{.delta = delta_,
                                  .bits = derived::OpCodec::kBits}));
   }
+  // mo-ok: release publishes the slots constructed above.
   slots_ready_.store(slots_.size(), std::memory_order_release);
   return *slots_[index];
 }

@@ -4,11 +4,12 @@
 // for the algorithms and correctness arguments):
 //
 //   RtMultiConsensus — bitwise prefix-agreement over per-bit instances of
-//                      Algorithm 1.  The per-bit binary protocol is
-//                      inlined over shared register arrays (indexed by
-//                      round*bits + bit) to keep one instance's footprint
-//                      a few KB, so the universal construction can afford
-//                      one instance per log slot.
+//                      Algorithm 1.  Each bit runs RtConsensus's round
+//                      loop (run_rounds) on its own lane of shared
+//                      register arrays (indexed by round*bits + bit) to
+//                      keep one instance's footprint a few KB, so the
+//                      universal construction can afford one instance per
+//                      log slot.
 //   RtElection       — propose own id, decision is the leader.
 //   RtTestAndSet     — winner of the election reads 0, the rest read 1.
 //   RtUniversal      — consensus-log state-machine replication with
@@ -55,21 +56,14 @@ class RtMultiConsensus {
   static constexpr std::size_t kSeg = 256;
   static constexpr std::size_t kMaxSeg = 64;
   using Array = RegisterArray<int, kSeg, kMaxSeg>;
+  using PerBit = RegisterArray<int, 64, 1>;
   using Array64 = RegisterArray<std::int64_t, 64, 16>;
 
-  std::size_t cell(int bit, std::size_t round) const {
-    return round * static_cast<std::size_t>(config_.bits) +
-           static_cast<std::size_t>(bit);
-  }
-
-  /// One-bit Algorithm 1 over the shared arrays (bit selects the lane).
-  int propose_bit(int bit, int input);
-
   Config config_;
-  Array x0_;
-  Array x1_;
-  Array y_;
-  Array64 decide_;    ///< per-bit decide registers
+  Array x0_;          ///< x[r, 0] of bit b at r*bits + b
+  Array x1_;          ///< x[r, 1] of bit b at r*bits + b
+  Array y_;           ///< y[r] of bit b at r*bits + b
+  PerBit decide_;     ///< per-bit decide registers
   Array64 witness0_;  ///< per-bit witnesses for bit value 0
   Array64 witness1_;
 };
@@ -147,6 +141,7 @@ class RtLongLivedTestAndSet {
   void reset(int id);
 
   std::size_t generations() const {
+    // mo-ok: a count of published elections; pairs with the release.
     return elections_ready_.load(std::memory_order_acquire);
   }
 
@@ -159,6 +154,7 @@ class RtLongLivedTestAndSet {
   std::vector<int> won_generation_;  ///< [id]: written only by thread id
 
   mutable std::mutex grow_mutex_;
+  // raw-atomic-ok: publishes the grown prefix, not an algorithm register.
   std::atomic<std::size_t> elections_ready_{0};
   std::vector<std::unique_ptr<RtElection>> elections_;
 };
@@ -197,6 +193,7 @@ class RtUniversal {
   // serialized by a mutex — growth is bookkeeping of the *implementation
   // of the experiment harness*, not a shared register of the algorithm.
   mutable std::mutex grow_mutex_;
+  // raw-atomic-ok: publishes the grown prefix, not an algorithm register.
   std::atomic<std::size_t> slots_ready_{0};
   std::vector<std::unique_ptr<RtMultiConsensus>> slots_;
 };

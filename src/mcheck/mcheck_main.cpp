@@ -144,10 +144,21 @@ NamedCheck mistuned_controller_check() {
 }
 
 // ---------------------------------------------------------------------------
-// Real-thread checks: the production lock code (mutex_rt.hpp,
-// atomic_mutex.hpp) instantiated with ShimAtomics and driven through the
-// interposition seam — the checker explores the same source production
-// runs, not a transcription.
+// Real-thread checks: the production rt code (consensus_rt.hpp,
+// mutex_rt.hpp, atomic_mutex.hpp) instantiated with ShimAtomics and
+// driven through the interposition seam — the checker explores the same
+// source production runs, not a transcription.
+
+NamedCheck consensus_rt_check() {
+  NamedCheck check;
+  check.name = "consensus-rt-n2";
+  check.description =
+      "real-thread Algorithm 1 through the shim, n=2, inputs {0,1}";
+  check.scenario = mcheck::make_rt_consensus_scenario();
+  check.config = base_config();
+  check.expect_violation = false;
+  return check;
+}
 
 NamedCheck fischer_rt_check() {
   NamedCheck check;
@@ -218,6 +229,7 @@ NamedCheck eventcount_correct_check() {
 
 std::vector<NamedCheck> rt_checks() {
   std::vector<NamedCheck> checks;
+  checks.push_back(consensus_rt_check());
   checks.push_back(fischer_rt_check());
   checks.push_back(tfr_mutex_rt_check());
   checks.push_back(atomic_lock_rt_check());

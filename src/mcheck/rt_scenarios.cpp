@@ -1,8 +1,11 @@
 #include "tfr/mcheck/rt_scenarios.hpp"
 
+#include <algorithm>
+#include <iterator>
 #include <memory>
 #include <utility>
 
+#include "tfr/core/consensus_rt.hpp"
 #include "tfr/mutex/lock_adapters.hpp"
 #include "tfr/mutex/mutex_rt.hpp"
 #include "tfr/registers/atomic_register.hpp"
@@ -15,6 +18,9 @@ namespace tfr::mcheck {
 namespace {
 
 using ShimAtomics = rtshim::ShimAtomics;
+using Consensus = rt::BasicRtConsensus<ShimAtomics>;
+
+constexpr int kConsensusInputs[] = {0, 1};
 
 // Ownership protocol (load-bearing — see RtExecution's teardown contract):
 // the verdict closure solely owns a Holder, so the RtExecution is
@@ -42,6 +48,42 @@ CheckOutcome check_parked_at_idle(const sim::Simulation& sim) {
 }
 
 }  // namespace
+
+CheckScenario make_rt_consensus_scenario() {
+  return [](sim::Simulation& simulation) -> RunHarness {
+    struct Algo {
+      Consensus consensus{{.delta = 2}};
+      Consensus::Result results[std::size(kConsensusInputs)];
+    };
+    auto holder = std::make_shared<Holder<Algo>>();
+    holder->exec = std::make_unique<rtshim::RtExecution>(simulation);
+    holder->algo = std::make_shared<Algo>();
+    for (std::size_t id = 0; id < std::size(kConsensusInputs); ++id) {
+      holder->exec->spawn_thread([algo = holder->algo, id] {
+        algo->results[id] = algo->consensus.propose(kConsensusInputs[id]);
+      });
+    }
+
+    RunHarness harness;
+    harness.verdict = [holder](const RunInfo& info) -> CheckOutcome {
+      int agreed = Consensus::kBot;
+      for (const Consensus::Result& result : holder->algo->results) {
+        if (result.value == Consensus::kBot) continue;  // did not finish
+        if (agreed != Consensus::kBot && result.value != agreed)
+          return {false, "consensus agreement violated"};
+        if (std::find(std::begin(kConsensusInputs), std::end(kConsensusInputs),
+                      result.value) == std::end(kConsensusInputs))
+          return {false, "consensus validity violated"};
+        // Rounds 0 and 1 resolve any failure-free instance.
+        if (info.failures_injected == 0 && result.rounds > 2)
+          return {false, "failure-free execution exceeded the round bound"};
+        agreed = result.value;
+      }
+      return {};
+    };
+    return harness;
+  };
+}
 
 CheckScenario make_rt_mutex_scenario(RtMutexScenarioConfig config) {
   return [config](sim::Simulation& simulation) -> RunHarness {

@@ -1,11 +1,12 @@
-// mcheck scenarios that drive the *real* rt lock code — the same
-// templated sources production compiles against std::atomic — through the
-// atomic interposition seam (rt/shim/).  Each factory builds an
-// RtExecution inside the fresh per-execution Simulation, spawns the
-// algorithm bodies as shim threads, and wires the verdict to the
-// execution's critical-section occupancy probe plus a parked-at-idle
-// deadlock check (a run that goes idle with threads still parked in
-// atomic::wait is exactly a lost wakeup).
+// mcheck scenarios that drive the *real* rt code — the same templated
+// sources production compiles against std::atomic — through the atomic
+// interposition seam (rt/shim/).  Each factory builds an RtExecution
+// inside the fresh per-execution Simulation, spawns the algorithm bodies
+// as shim threads, and wires the verdict to the algorithm's safety
+// property: consensus agreement and validity, or the execution's
+// critical-section occupancy probe plus a parked-at-idle deadlock check
+// (a run that goes idle with threads still parked in atomic::wait is
+// exactly a lost wakeup).
 
 #pragma once
 
@@ -13,6 +14,13 @@
 #include "tfr/sim/types.hpp"
 
 namespace tfr::mcheck {
+
+/// Algorithm 1 as shipped: BasicRtConsensus over ShimAtomics, two shim
+/// threads proposing 0 and 1 with Δ = 2.  The verdict is the one
+/// make_consensus_scenario applies to the sim twin: agreement and
+/// validity over every decision reached, and a failure-free execution
+/// must decide in round 0 or 1.
+CheckScenario make_rt_consensus_scenario();
 
 /// Mutual exclusion on real-thread lock code under the seam: n shim
 /// threads cycling lock → mark_enter → CS dwell → mark_exit → unlock.

@@ -8,6 +8,12 @@
 // of the publication race deletes its segment.  Grown cells are pinned
 // (never move), so references handed out stay valid for the array's
 // lifetime.
+//
+// The cells are BasicAtomicRegister<T, Atomics>: std::atomic under the
+// production StdAtomics policy, shim cells under the model checker.  A
+// fresh segment's cells are constructed already holding the initial
+// value, so growing the array is storage management, not a register
+// write the checker would have to interleave.
 
 #pragma once
 
@@ -26,13 +32,16 @@ namespace tfr::rt {
 /// universal construction) use small arrays; standalone instances can
 /// afford the default 4M-register capacity.
 template <class T, std::size_t SegmentSize = 1024,
-          std::size_t MaxSegments = 4096>
+          std::size_t MaxSegments = 4096, class Atomics = StdAtomics>
 class RegisterArray {
  public:
+  using Cell = BasicAtomicRegister<T, Atomics>;
+
   static constexpr std::size_t kSegmentSize = SegmentSize;
   static constexpr std::size_t kMaxSegments = MaxSegments;
 
   explicit RegisterArray(T initial) : initial_(initial) {
+    // mo-ok: the array is not shared before its constructor returns.
     for (auto& slot : spine_) slot.store(nullptr, std::memory_order_relaxed);
   }
 
@@ -40,17 +49,19 @@ class RegisterArray {
   RegisterArray& operator=(const RegisterArray&) = delete;
 
   ~RegisterArray() {
+    // mo-ok: acquire pairs with the publishing CAS.
     for (auto& slot : spine_) delete slot.load(std::memory_order_acquire);
   }
 
   /// Register at `index`, allocating its segment on demand.  Thread-safe.
-  AtomicRegister<T>& at(std::size_t index) {
+  Cell& at(std::size_t index) {
     const std::size_t seg = index / kSegmentSize;
     const std::size_t off = index % kSegmentSize;
     TFR_REQUIRE(seg < kMaxSegments);
+    // mo-ok: acquire pairs with the publishing CAS.
     Segment* segment = spine_[seg].load(std::memory_order_acquire);
     if (segment == nullptr) segment = publish_segment(seg);
-    return segment->cells[off];
+    return (*segment)[off];
   }
 
   /// Read without allocating: `fallback` when the segment is absent (i.e.
@@ -60,12 +71,14 @@ class RegisterArray {
     const std::size_t seg = index / kSegmentSize;
     const std::size_t off = index % kSegmentSize;
     TFR_REQUIRE(seg < kMaxSegments);
-    const Segment* segment = spine_[seg].load(std::memory_order_acquire);
-    return segment ? segment->cells[off].read() : fallback;
+    // mo-ok: acquire pairs with the publishing CAS.
+    Segment* segment = spine_[seg].load(std::memory_order_acquire);
+    return segment ? (*segment)[off].read() : fallback;
   }
 
   /// Number of segments currently allocated (coarse space accounting).
   std::size_t segments_allocated() const {
+    // mo-ok: a statistic; nothing is ordered by it.
     return segments_allocated_.load(std::memory_order_relaxed);
   }
 
@@ -75,20 +88,38 @@ class RegisterArray {
   }
 
  private:
-  struct Segment {
-    AtomicRegister<T> cells[kSegmentSize];
+  /// kSegmentSize cells, each constructed holding the array's initial
+  /// value (cells are neither copyable nor movable, hence the raw slots).
+  class Segment {
+   public:
+    explicit Segment(T initial) {
+      for (Slot& slot : slots_) std::construct_at(&slot.cell, initial);
+    }
+    Segment(const Segment&) = delete;
+    Segment& operator=(const Segment&) = delete;
+    ~Segment() {
+      for (Slot& slot : slots_) std::destroy_at(&slot.cell);
+    }
+
+    Cell& operator[](std::size_t off) { return slots_[off].cell; }
+
+   private:
+    union Slot {
+      Slot() {}
+      ~Slot() {}
+      Cell cell;
+    };
+    Slot slots_[kSegmentSize];
   };
 
   Segment* publish_segment(std::size_t seg) {
-    auto fresh = std::make_unique<Segment>();
-    // The segment is private until the CAS below succeeds, so plain writes
-    // are race-free here; publication's release edge orders them for
-    // readers.
-    for (auto& cell : fresh->cells) cell.write(initial_);
+    auto fresh = std::make_unique<Segment>(initial_);
     Segment* expected = nullptr;
-    if (spine_[seg].compare_exchange_strong(expected, fresh.get(),
-                                            std::memory_order_acq_rel,
-                                            std::memory_order_acquire)) {
+    if (spine_[seg].compare_exchange_strong(
+            expected, fresh.get(),
+            // mo-ok: publishes the initialized cells to acquire readers.
+            std::memory_order_acq_rel, std::memory_order_acquire)) {
+      // mo-ok: a statistic; nothing is ordered by it.
       segments_allocated_.fetch_add(1, std::memory_order_relaxed);
       return fresh.release();
     }
@@ -97,8 +128,11 @@ class RegisterArray {
   }
 
   T initial_;
+  // Segment publication is storage management, not an algorithm register:
+  // raw-atomic-ok: no explored interleaving depends on the spine.
   std::atomic<Segment*> spine_[kMaxSegments];
-  std::atomic<std::size_t> segments_allocated_{0};
+  /// Segments published so far (space accounting only).
+  typename Atomics::template counter<std::size_t> segments_allocated_{0};
 };
 
 }  // namespace tfr::rt

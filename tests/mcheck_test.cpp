@@ -5,10 +5,17 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
+#include "tfr/core/consensus_rt.hpp"
+#include "tfr/core/consensus_sim.hpp"
 #include "tfr/mcheck/explorer.hpp"
 #include "tfr/mcheck/rt_scenarios.hpp"
 #include "tfr/mcheck/scenarios.hpp"
 #include "tfr/obs/replay.hpp"
+#include "tfr/rt/shim/rt_exec.hpp"
+#include "tfr/rt/shim/shim_atomic.hpp"
+#include "tfr/sim/timing.hpp"
 
 namespace tfr {
 namespace {
@@ -236,8 +243,9 @@ void expect_stats_equal(const mcheck::ExploreStats& parallel,
 /// Runs the scenario serially and at jobs {2, 4}; every parallel result
 /// must match the serial one exactly — verdict, the full ExploreStats,
 /// and (for violations) the counterexample artifact byte-for-byte.
-void expect_parallel_equivalent(const mcheck::CheckScenario& scenario,
-                                const mcheck::ExploreConfig& base) {
+/// Returns the serial result.
+mcheck::CheckResult expect_parallel_equivalent(
+    const mcheck::CheckScenario& scenario, const mcheck::ExploreConfig& base) {
   mcheck::ExploreConfig config = base;
   config.jobs = 1;
   const mcheck::CheckResult serial = mcheck::check(scenario, config);
@@ -253,6 +261,7 @@ void expect_parallel_equivalent(const mcheck::CheckScenario& scenario,
                 serial.counterexample.to_bytes());
     }
   }
+  return serial;
 }
 
 // Algorithm 1 (clean verdict): the work-sharing frontier partitions a
@@ -399,6 +408,18 @@ TEST(McheckRtFischer, FindsKnownViolationAndReplays) {
   EXPECT_EQ(reproduced.what, result.what);
 }
 
+// Algorithm 1 as shipped (rt::BasicRtConsensus over ShimAtomics, the
+// round loop RtConsensus and RtMultiConsensus run in production): clean
+// and complete under one timing failure, and jobs {2, 4} reproduce the
+// serial verdict and every ExploreStats counter.
+TEST(McheckRtConsensus, ExhaustiveNoViolationAtAnyJobs) {
+  const mcheck::CheckResult serial = expect_parallel_equivalent(
+      mcheck::make_rt_consensus_scenario(), small_config());
+  EXPECT_FALSE(serial.violation) << serial.what;
+  EXPECT_TRUE(serial.stats.complete);
+  EXPECT_GT(serial.stats.executions, 1000u);
+}
+
 // The futex-class AtomicMutex (wait/notify protocol) verifies clean and
 // exhaustively through the seam under the same failure budget.
 TEST(McheckRtAtomicLock, ExhaustiveNoViolation) {
@@ -458,6 +479,31 @@ TEST(McheckRtParallel, AtomicLockMatchesSerial) {
 TEST(McheckRtParallel, EventCountTornMatchesSerial) {
   expect_parallel_equivalent(mcheck::make_rt_eventcount_scenario({}),
                              rt_eventcount_config());
+}
+
+// A solo propose through the seam is Algorithm 1's contention-free fast
+// path: 7 shared accesses and no delay, the step count the sim twin
+// takes.  Growing the register arrays constructs cells already holding
+// their initial value, so segment allocation adds no explored step.
+TEST(RtShimConsensus, SoloProposeTakesTheSimTwinsSevenSteps) {
+  sim::Simulation simulation(std::make_unique<sim::FixedTiming>(1));
+  rtshim::RtExecution exec(simulation);
+  rt::BasicRtConsensus<rtshim::ShimAtomics> consensus({.delta = 2});
+  rt::BasicRtConsensus<rtshim::ShimAtomics>::Result result;
+  exec.spawn_thread([&] { result = consensus.propose(1); });
+  simulation.run();
+
+  ASSERT_TRUE(simulation.all_done());
+  EXPECT_EQ(result.value, 1);
+  EXPECT_EQ(result.steps, 7u);
+  EXPECT_EQ(simulation.stats(0).accesses(), 7u);
+  EXPECT_EQ(simulation.stats(0).delays, 0u);
+
+  const core::ConsensusOutcome twin =
+      core::run_consensus({1}, 2, std::make_unique<sim::FixedTiming>(1));
+  ASSERT_EQ(twin.steps.size(), 1u);
+  EXPECT_EQ(simulation.stats(0).accesses(), twin.steps[0]);
+  EXPECT_EQ(simulation.stats(0).delays, twin.delays[0]);
 }
 
 // In-process determinism (TSan-covered): two serial explorations of the

@@ -15,6 +15,7 @@
 #include <type_traits>
 #include <utility>
 
+#include "tfr/core/consensus_rt.hpp"
 #include "tfr/mutex/lock_adapters.hpp"
 #include "tfr/mutex/mutex_rt.hpp"
 #include "tfr/registers/atomic_register.hpp"
@@ -49,6 +50,16 @@ static_assert(std::is_same_v<rt::AtomicMutexLock,
                              rt::BasicAtomicMutexLock<rt::StdAtomics>>);
 static_assert(std::is_same_v<rt::AtomicRegister<int>,
                              rt::BasicAtomicRegister<int, rt::StdAtomics>>);
+static_assert(std::is_same_v<rt::RtConsensus,
+                             rt::BasicRtConsensus<rt::StdAtomics>>);
+
+// Algorithm 1's register arrays: a default cell is the production
+// register, and RtConsensus keeps the footprint the pre-seam class had
+// (config, three 4096-segment spines with their counters, decide).
+static_assert(
+    std::is_same_v<decltype(std::declval<rt::RegisterArray<int>&>().at(0)),
+                   rt::AtomicRegister<int>&>);
+static_assert(sizeof(rt::RtConsensus) == 98376);
 
 // Layout: the futex-class primitives stay one 4-byte word (also
 // static_asserted at their definitions), standard-layout, and no more
