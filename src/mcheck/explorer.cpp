@@ -49,34 +49,16 @@ bool in_sleep(const std::vector<sim::EnabledEvent>& sleep, sim::Pid pid) {
                      [pid](const sim::EnabledEvent& e) { return e.pid == pid; });
 }
 
-bool event_order(const sim::EnabledEvent& a, const sim::EnabledEvent& b) {
-  if (a.pid != b.pid) return a.pid < b.pid;
-  if (a.kind != b.kind) return a.kind < b.kind;
-  return a.reg < b.reg;
-}
-
-/// Auto frontier depth: deep enough that even modest branching yields many
-/// more subtrees than workers (load balance), shallow enough that the
-/// enumeration probes stay a negligible fraction of the exploration.
-constexpr std::uint32_t kDefaultPrefixDepth = 6;
-
-/// Fixed activation depth of the kSourceDpor machinery: nodes shallower
-/// than this keep plain sleep-set semantics (explore every non-sleeping
-/// sibling); nodes at-or-below it carry race-driven backtrack sets, and
-/// the state-hash table prunes at exactly this depth.  It deliberately
-/// equals the work-sharing frontier default — parallel runs pin their
-/// frontier here so prefix nodes (owned by the enumerator, never advanced
-/// by workers) are exactly the explore-all ones and every counter stays
-/// byte-identical to the serial run.
-constexpr std::size_t kDporGate = kDefaultPrefixDepth;
-
-std::uint64_t fold64(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xff;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
+/// The one fixed decision depth that splits the tree, for every Reduction.
+/// Nodes shallower than the gate keep plain sleep-set semantics (explore
+/// every non-sleeping sibling); under kSourceDpor nodes at-or-below it
+/// carry race-driven backtrack sets.  Parallel runs cut their work-sharing
+/// frontier here too, so prefix nodes (owned by the enumerator, never
+/// advanced by workers) are exactly the explore-all ones and every counter
+/// stays byte-identical to the serial run.  Deep enough that modest
+/// branching yields many more subtrees than workers, shallow enough that
+/// the enumeration probes stay a negligible share of the exploration.
+constexpr std::size_t kGate = 6;
 
 class Explorer;
 
@@ -104,7 +86,6 @@ void add_counters(ExploreStats& into, const ExploreStats& from) {
   into.truncated += from.truncated;
   into.races_detected += from.races_detected;
   into.source_pruned += from.source_pruned;
-  into.state_pruned += from.state_pruned;
 }
 
 /// The DFS engine.  Doubles as the SchedulerStrategy of each explored
@@ -115,8 +96,8 @@ void add_counters(ExploreStats& into, const ExploreStats& from) {
 /// One engine instance runs in one of three modes:
 ///  - kSerial: explore the whole tree (jobs == 1, and the reference
 ///    semantics every parallel run must reproduce).
-///  - kEnumerate: probe executions only up to the frontier depth; each
-///    depth-d subtree (or shorter leaf) becomes a WorkItem.  Probe run
+///  - kEnumerate: probe executions only up to the gate depth (kGate); each
+///    gate-depth subtree (or shorter leaf) becomes a WorkItem.  Probe run
 ///    counters are discarded — the owning worker re-executes and counts —
 ///    but fresh prefix nodes, prefix-level backtracking and sleep-blocked
 ///    probe executions are enumerator-owned, exactly as in a serial run.
@@ -144,13 +125,11 @@ class Explorer final : public sim::SchedulerStrategy {
     ExploreStats final_stats;
   };
 
-  explicit Explorer(const ExploreConfig& config, Mode mode = Mode::kSerial,
-                    std::uint32_t frontier_depth = 0)
-      : config_(config), mode_(mode), frontier_depth_(frontier_depth) {
+  explicit Explorer(const ExploreConfig& config, Mode mode = Mode::kSerial)
+      : config_(config), mode_(mode) {
     TFR_REQUIRE(config.delta >= 1);
     TFR_REQUIRE(config.failure_cost > config.delta);
     TFR_REQUIRE(config.max_steps >= 1);
-    if (mode_ == Mode::kEnumerate) TFR_REQUIRE(frontier_depth_ >= 1);
     // Enumerate probes never detect races: their executions are re-run and
     // race-detected by the owning worker (keeps counters serial-identical).
     race_detect_ = dpor() && mode_ != Mode::kEnumerate;
@@ -219,22 +198,17 @@ class Explorer final : public sim::SchedulerStrategy {
     bool frontier_hit = false;
   };
 
-  /// The execution was cut short: sleep-blocked, state-pruned, or
-  /// (enumerate mode) it reached the work-sharing frontier.  Every later
-  /// decision defaults.
+  /// The execution was cut short: sleep-blocked, or (enumerate mode) it
+  /// reached the work-sharing frontier.  Every later decision defaults.
   bool aborted() const { return blocked_ || frontier_hit_; }
 
   bool dpor() const { return config_.reduction == Reduction::kSourceDpor; }
   bool sleepy() const { return config_.reduction != Reduction::kNone; }
 
   void init_simulation() {
-    // Gate-state hashing is only performed by the owner of the gate nodes
-    // (serial / enumerate); workers skip the capture cost entirely.
-    const bool capture = dpor() && mode_ != Mode::kWorker;
     simulation_ = std::make_unique<sim::Simulation>(
         std::make_unique<ChoiceTiming>(this),
-        sim::SimulationOptions{.seed = config_.seed, .strategy = this,
-                               .capture_state = capture});
+        sim::SimulationOptions{.seed = config_.seed, .strategy = this});
   }
 
   /// Claims the path slot at path_len_, recycling its heap buffers.  Nodes
@@ -351,7 +325,7 @@ class Explorer final : public sim::SchedulerStrategy {
   /// committed the earlier access.
   void note_race(std::uint32_t earlier_step, sim::Pid racer_pid) {
     const std::size_t node_index = steps_dpor_[earlier_step - 1].node;
-    if (node_index < kDporGate) return;  // shallow region explores all
+    if (node_index < kGate) return;  // shallow region explores all
     ++stats_.races_detected;
     Node& node = path_[node_index];
     TFR_INVARIANT(node.kind == Node::Kind::kSched);
@@ -373,40 +347,6 @@ class Explorer final : public sim::SchedulerStrategy {
     node.explore_all = true;
   }
 
-  /// Frontier state-hash check, performed exactly when the gate node is
-  /// about to be created (serial) or the probe is cut (enumerate).  Prunes
-  /// the subtree iff an identical gate state was already explored under a
-  /// subset sleep set; otherwise records this visit.  Returns true when
-  /// pruned (the execution is then cut like a sleep-blocked one).
-  bool gate_prune() {
-    if (!simulation_->state_hashable()) return false;
-    std::uint64_t signature = simulation_->state_fingerprint();
-    // Explorer-side budgets shape future cost menus and verdicts: two
-    // gate states are only interchangeable if these match too.
-    signature = fold64(signature, steps_);
-    signature = fold64(signature, slow_used_);
-    signature = fold64(signature, failures_used_);
-    signature =
-        fold64(signature, static_cast<std::uint64_t>(last_failure_completion_));
-    std::vector<sim::EnabledEvent> sleep = live_sleep_;
-    std::sort(sleep.begin(), sleep.end(), event_order);
-    std::vector<std::vector<sim::EnabledEvent>>& visits =
-        gate_seen_[signature];
-    for (const std::vector<sim::EnabledEvent>& prior : visits) {
-      if (std::includes(sleep.begin(), sleep.end(), prior.begin(),
-                        prior.end(), event_order)) {
-        // Everything this subtree may explore (executions avoiding the
-        // current sleep set) was already explored from the equal state
-        // under the smaller sleep set.
-        ++stats_.state_pruned;
-        blocked_ = true;
-        return true;
-      }
-    }
-    visits.push_back(std::move(sleep));
-    return false;
-  }
-
   /// Keeps only the sleeping events independent of what just ran; the
   /// survivors seed the sleep set of the next fresh node.
   void filter_sleep(const std::vector<sim::EnabledEvent>& sleep,
@@ -419,7 +359,6 @@ class Explorer final : public sim::SchedulerStrategy {
 
   ExploreConfig config_;
   Mode mode_;
-  std::uint32_t frontier_depth_;
   ExploreStats stats_;
 
   /// The one simulation object, reset() between executions so event-queue
@@ -467,11 +406,6 @@ class Explorer final : public sim::SchedulerStrategy {
   std::vector<StepRec> steps_dpor_;
   std::vector<std::vector<std::uint32_t>> clocks_;  ///< per-pid clocks
   std::unordered_map<std::uint64_t, RegTrack> reg_track_;
-
-  /// Gate-state table (kSourceDpor, serial/enumerate): signature -> the
-  /// sorted sleep sets under which that gate state was already explored.
-  std::unordered_map<std::uint64_t, std::vector<std::vector<sim::EnabledEvent>>>
-      gate_seen_;
 };
 
 sim::Duration ChoiceTiming::access_cost(sim::Pid pid, sim::Time now,
@@ -499,19 +433,12 @@ std::size_t Explorer::decide_sched(
     return node.chosen;
   }
 
-  if (mode_ == Mode::kEnumerate && path_len_ >= frontier_depth_) {
+  if (mode_ == Mode::kEnumerate && path_len_ >= kGate) {
     // The execution is about to leave the shared prefix region: everything
-    // below is one worker's subtree.  Under kSourceDpor the frontier is
-    // the reduction gate: consult the state table before emitting — a
-    // pruned probe is cut exactly like a sleep-blocked one.
-    if (dpor() && gate_prune()) return 0;
+    // below is one worker's subtree.
     frontier_hit_ = true;
     return 0;
   }
-
-  if (dpor() && mode_ == Mode::kSerial && path_len_ == kDporGate &&
-      gate_prune())
-    return 0;
 
   // Divergence point: create a fresh node whose sleep set is inherited
   // from the path so far.
@@ -540,7 +467,7 @@ std::size_t Explorer::decide_sched(
   }
   node.chosen = chosen;
   const std::size_t node_index = path_len_ - 1;
-  if (dpor() && node_index >= kDporGate) {
+  if (dpor() && node_index >= kGate) {
     // Source-set discipline: only the first branch plus race-demanded
     // siblings get explored (advance() consumes backtrack/explored).
     node.dpor_managed = true;
@@ -565,14 +492,10 @@ std::size_t Explorer::decide_cost(const sim::Duration* menu,
     ++cursor_;
     return node.chosen;
   }
-  if (mode_ == Mode::kEnumerate && path_len_ >= frontier_depth_) {
-    if (dpor() && gate_prune()) return 0;
+  if (mode_ == Mode::kEnumerate && path_len_ >= kGate) {
     frontier_hit_ = true;
     return 0;
   }
-  if (dpor() && mode_ == Mode::kSerial && path_len_ == kDporGate &&
-      gate_prune())
-    return 0;
   Node& node = fresh_node();
   node.kind = Node::Kind::kCost;
   node.costs.assign(menu, menu + size);
@@ -758,7 +681,7 @@ Explorer::Frontier Explorer::enumerate(const CheckScenario& scenario) {
       ++stats_.executions;
       if (verdict.truncated) ++stats_.truncated;
     } else {
-      // Frontier hit (a depth-d subtree) or a leaf shorter than the
+      // Frontier hit (a gate-depth subtree) or a leaf shorter than the
       // frontier (a one-execution subtree): the owning worker re-executes
       // and counts the run, so the probe's transition count is discarded.
       // Fresh prefix nodes stay counted here — serial creates them once,
@@ -843,7 +766,6 @@ std::string encode_result(const CheckResult& result) {
   put_u64(out, result.stats.truncated);
   put_u64(out, result.stats.races_detected);
   put_u64(out, result.stats.source_pruned);
-  put_u64(out, result.stats.state_pruned);
   put_blob(out, result.what);
   put_blob(out,
            result.violation ? result.counterexample.to_bytes() : std::string());
@@ -865,7 +787,6 @@ CheckResult decode_result(std::string_view bytes) {
   result.stats.truncated = reader.u64();
   result.stats.races_detected = reader.u64();
   result.stats.source_pruned = reader.u64();
-  result.stats.state_pruned = reader.u64();
   result.what = reader.blob();
   const std::string cex = reader.blob();
   if (result.violation) {
@@ -886,18 +807,8 @@ bool payload_has_violation(const std::string& payload) {
 
 CheckResult check_parallel(const CheckScenario& scenario,
                            const ExploreConfig& config) {
-  // Under kSourceDpor the frontier must coincide with the reduction gate:
-  // backtrack sets and state hashing operate only at-or-below the gate, so
-  // prefix nodes are exactly the explore-all ones and every counter stays
-  // byte-identical to the serial run (see kDporGate).
-  const std::uint32_t depth =
-      config.reduction == Reduction::kSourceDpor
-          ? static_cast<std::uint32_t>(kDporGate)
-          : (config.prefix_depth != 0 ? config.prefix_depth
-                                      : kDefaultPrefixDepth);
-
-  // Phase 1 (in-process): partition the tree at the frontier.
-  Explorer enumerator(config, Explorer::Mode::kEnumerate, depth);
+  // Phase 1 (in-process): partition the tree at the gate (see kGate).
+  Explorer enumerator(config, Explorer::Mode::kEnumerate);
   const Explorer::Frontier frontier = enumerator.enumerate(scenario);
 
   if (frontier.items.empty()) {
@@ -917,8 +828,8 @@ CheckResult check_parallel(const CheckScenario& scenario,
   // which worker reported first.
   const std::vector<benchkit::ForkResult> raw = benchkit::fork_map(
       frontier.items.size(), config.jobs,
-      [&scenario, &config, &frontier, depth](std::size_t index) {
-        Explorer worker(config, Explorer::Mode::kWorker, depth);
+      [&scenario, &config, &frontier](std::size_t index) {
+        Explorer worker(config, Explorer::Mode::kWorker);
         return encode_result(
             worker.explore_subtree(scenario, frontier.items[index]));
       },

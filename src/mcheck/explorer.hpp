@@ -11,8 +11,8 @@
 // relation: two enabled events are dependent iff they access the same
 // register and at least one writes it.  The default reduction layers
 // source-set-style dynamic POR (race-driven backtrack sets, in the
-// Flanagan–Godefroid / Abdulla et al. lineage) and a frontier state-hash
-// table over the original sleep sets (Godefroid); see Reduction.
+// Flanagan–Godefroid / Abdulla et al. lineage) over the original sleep
+// sets (Godefroid); see Reduction.
 //
 // Exploration is exhaustive *within declared bounds*: per-access cost
 // menus {1, Δ}, a budget on slow (cost Δ) accesses, a budget on injected
@@ -21,10 +21,11 @@
 // is emitted as an obs::RecordedRun — the scripted costs and tie-break
 // schedule — which replays byte-identically through obs::record/replay.
 //
-// With ExploreConfig::jobs > 1 the tree is partitioned at a decision-depth
-// frontier and disjoint subtrees are explored by forked worker processes
-// (benchkit::fork_map); stats, verdict and counterexample are merged so
-// the result is identical to the serial run (see ExploreConfig::jobs).
+// With ExploreConfig::jobs > 1 the tree is partitioned at a fixed decision
+// depth (the gate) and disjoint subtrees are explored by forked worker
+// processes (benchkit::fork_map); stats, verdict and counterexample are
+// merged so the result is identical to the serial run (see
+// ExploreConfig::jobs).
 
 #pragma once
 
@@ -79,13 +80,9 @@ enum class Reduction : std::uint8_t {
   kSleepSets = 1,
   /// Sleep sets plus source-set-style dynamic POR: race-driven backtrack
   /// sets decide which siblings of a scheduling node need exploring at
-  /// all, and a frontier state-hash table prunes subtrees whose gate
-  /// state (registers + pending events + budgets) was already explored
-  /// under a subset sleep set.  Both kick in below a fixed decision depth
-  /// (the work-sharing frontier), so parallel runs stay byte-identical to
-  /// serial ones.  Soundness caveat: the gate signature proxies each
-  /// process's control state by its op counters, not its true PC — see
-  /// MODEL.md "Systematic exploration".
+  /// all.  They apply at-or-below a fixed decision depth (the gate, which
+  /// is also the work-sharing frontier), so parallel runs stay
+  /// byte-identical to serial ones.
   kSourceDpor = 2,
 };
 
@@ -110,30 +107,22 @@ struct ExploreConfig {
   /// Abort the whole exploration after this many executions.
   std::uint64_t max_executions = 4'000'000;
   /// Partial-order reduction mode.  kSourceDpor (default) layers dynamic
-  /// backtrack sets and frontier state hashing over kSleepSets; kNone is
-  /// the naive-DFS baseline for the pruning regression tests.
+  /// backtrack sets over kSleepSets; kNone is the naive-DFS baseline for
+  /// the pruning regression tests.
   Reduction reduction = Reduction::kSourceDpor;
   /// Seed for the simulation Rng (unused by explored scenarios, but part
   /// of the replay artifact).
   std::uint64_t seed = 1;
   /// Worker processes for exploration.  1 = serial, in-process.  With
-  /// jobs > 1 the decision tree is partitioned at a work-sharing frontier
-  /// (see prefix_depth) and disjoint subtrees are explored by forked
-  /// workers.  Results are merged deterministically: the reported stats,
-  /// verdict and counterexample are identical to a jobs == 1 run — the
-  /// first violation is resolved to the lexicographically-least decision
-  /// path, not to whichever worker won the race.  Sole deviation:
-  /// max_executions is enforced per worker subtree, not globally.
+  /// jobs > 1 the decision tree is partitioned at a fixed decision depth
+  /// (the gate, the same for every Reduction) and the disjoint subtrees
+  /// below it are explored by forked workers.  Results are merged
+  /// deterministically: the reported stats, verdict and counterexample
+  /// are identical to a jobs == 1 run — the first violation is resolved to
+  /// the lexicographically-least decision path, not to whichever worker
+  /// won the race.  Sole deviation: max_executions is enforced per worker
+  /// subtree, not globally.
   int jobs = 1;
-  /// Decision-tree depth of the work-sharing frontier (parallel mode
-  /// only): executions are grouped by their first `prefix_depth` decisions
-  /// and each group becomes one worker's subtree.  0 = auto.  Under
-  /// kSourceDpor the frontier is pinned to the reduction's fixed gate
-  /// depth regardless of this value: backtrack sets and the state-hash
-  /// table only operate at-or-below the gate, so pinning the frontier
-  /// there is what keeps every parallel counter byte-identical to the
-  /// serial run.
-  std::uint32_t prefix_depth = 0;
 };
 
 struct ExploreStats {
@@ -151,8 +140,8 @@ struct ExploreStats {
   /// kSourceDpor only: scheduling siblings never explored because no race
   /// in any explored sibling subtree required them.
   std::uint64_t source_pruned = 0;
-  /// kSourceDpor only: executions cut at the frontier gate because an
-  /// identical gate state was already explored under a subset sleep set.
+  /// Always 0 (frontier state hashing was removed); kept because the
+  /// perfbench mcheck workload still reads it.
   std::uint64_t state_pruned = 0;
   bool complete = false;  ///< DFS exhausted (vs. max_executions abort)
 };

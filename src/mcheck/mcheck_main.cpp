@@ -1,6 +1,6 @@
 // tfr_mcheck — systematic schedule exploration for small configurations.
 //
-//   $ tfr_mcheck --all              # every built-in check, with expectations
+//   $ tfr_mcheck --all              # the sim checks (also the default)
 //   $ tfr_mcheck --consensus       # Algorithm 1, n=2, round bound 2
 //   $ tfr_mcheck --fischer         # bare Fischer: must find an ME violation
 //   $ tfr_mcheck --tfr-mutex      # Algorithm 3 (starvation-free A), n=2
@@ -9,13 +9,12 @@
 //   $ tfr_mcheck --rt               # the real-thread code through the shim
 //
 // Options: --naive (naive DFS, no reduction), --sleep-sets (sleep sets
-// only, no source-set DPOR / state hashing), --seed N,
-// --max-executions N, --jobs N (forked parallel exploration — verdicts,
-// stats and counterexamples are identical to --jobs 1), --prefix-depth N
-// (work-sharing frontier depth; 0 = auto).  Exit status 0 iff every
-// executed check matched its expectation (violation found / not found,
-// counterexample replays byte-identically).  Multi-check runs end with a
-// per-check wall-time summary table.
+// only, no source-set DPOR), --seed N, --max-executions N, --jobs N
+// (forked parallel exploration — verdicts, stats and counterexamples are
+// identical to --jobs 1).  Exit status 0 iff every executed check matched
+// its expectation (violation found / not found, counterexample replays
+// byte-identically).  Multi-check runs end with a per-check wall-time
+// summary table.
 
 #include <chrono>
 #include <cstdio>
@@ -227,6 +226,18 @@ NamedCheck eventcount_correct_check() {
   return check;
 }
 
+/// The simulator checks: --all, and the run with no check flag.
+std::vector<NamedCheck> sim_checks() {
+  std::vector<NamedCheck> checks;
+  checks.push_back(consensus_check());
+  checks.push_back(fischer_check());
+  checks.push_back(tfr_mutex_check());
+  checks.push_back(mistuned_controller_check());
+  checks.push_back(abd_check());
+  checks.push_back(abd_fast_check());
+  return checks;
+}
+
 std::vector<NamedCheck> rt_checks() {
   std::vector<NamedCheck> checks;
   checks.push_back(consensus_rt_check());
@@ -253,11 +264,9 @@ void print_stats(const mcheck::ExploreStats& stats) {
       static_cast<unsigned long long>(stats.sleep_blocked),
       static_cast<unsigned long long>(stats.truncated),
       stats.complete ? "yes" : "no");
-  std::printf(
-      "  races=%llu source-pruned=%llu state-pruned=%llu\n",
-      static_cast<unsigned long long>(stats.races_detected),
-      static_cast<unsigned long long>(stats.source_pruned),
-      static_cast<unsigned long long>(stats.state_pruned));
+  std::printf("  races=%llu source-pruned=%llu\n",
+              static_cast<unsigned long long>(stats.races_detected),
+              static_cast<unsigned long long>(stats.source_pruned));
 }
 
 /// One executed check, as reported in the end-of-run summary table.
@@ -379,7 +388,7 @@ int usage() {
       "                  [--mistuned] [--abd] [--rt] [--fischer-rt]\n"
       "                  [--eventcount]\n"
       "                  [--naive] [--sleep-sets] [--seed N]\n"
-      "                  [--max-executions N] [--jobs N] [--prefix-depth N]\n"
+      "                  [--max-executions N] [--jobs N]\n"
       "                  [--save FILE] [--replay FILE]\n");
   return 2;
 }
@@ -393,19 +402,14 @@ int main(int argc, char** argv) {
   std::uint64_t seed = 1;
   std::uint64_t max_executions = 0;
   int jobs = 1;
-  std::uint32_t prefix_depth = 0;
   std::string save_path;
   std::string replay_path;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--all") {
-      selected.push_back(consensus_check());
-      selected.push_back(fischer_check());
-      selected.push_back(tfr_mutex_check());
-      selected.push_back(mistuned_controller_check());
-      selected.push_back(abd_check());
-      selected.push_back(abd_fast_check());
+      for (NamedCheck& check : sim_checks())
+        selected.push_back(std::move(check));
     } else if (arg == "--consensus") {
       selected.push_back(consensus_check());
     } else if (arg == "--fischer") {
@@ -436,9 +440,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--jobs" && i + 1 < argc) {
       jobs = static_cast<int>(std::strtol(argv[++i], nullptr, 10));
       if (jobs < 1) return usage();
-    } else if (arg == "--prefix-depth" && i + 1 < argc) {
-      prefix_depth =
-          static_cast<std::uint32_t>(std::strtoul(argv[++i], nullptr, 10));
     } else if (arg == "--save" && i + 1 < argc) {
       save_path = argv[++i];
     } else if (arg == "--replay" && i + 1 < argc) {
@@ -447,13 +448,7 @@ int main(int argc, char** argv) {
       return usage();
     }
   }
-  if (selected.empty()) {
-    selected.push_back(consensus_check());
-    selected.push_back(fischer_check());
-    selected.push_back(tfr_mutex_check());
-    selected.push_back(abd_check());
-    selected.push_back(abd_fast_check());
-  }
+  if (selected.empty()) selected = sim_checks();
 
   bool ok = true;
   std::vector<CheckReport> reports;
@@ -463,7 +458,6 @@ int main(int argc, char** argv) {
     check.config.seed = seed;
     if (max_executions > 0) check.config.max_executions = max_executions;
     check.config.jobs = jobs;
-    check.config.prefix_depth = prefix_depth;
     if (!replay_path.empty()) {
       ok = replay_saved(check, replay_path) && ok;
       continue;

@@ -20,7 +20,6 @@
 #include <deque>
 #include <string>
 #include <string_view>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -51,55 +50,11 @@ class RegisterSpace {
     allocated_ = 0;
     reads_ = 0;
     writes_ = 0;
-    hashers_.clear();
-    hashable_ = true;
-  }
-
-  /// Opt-in for state-signature support (mcheck's frontier state hashing):
-  /// when enabled, every Register constructed in this space registers a
-  /// value-hash thunk.  Off by default so the zero-per-iteration
-  /// allocation budget of plain simulations is untouched.
-  void set_value_capture(bool on) { capture_ = on; }
-  bool value_capture() const { return capture_; }
-
-  /// False when some live register's value type has no unique object
-  /// representation (its bytes cannot be hashed portably); callers must
-  /// then skip state hashing for the whole space.
-  bool values_hashable() const { return hashable_; }
-
-  /// FNV-1a over every live register's (uid, value bytes), in allocation
-  /// order.  Only meaningful while the registers of the current run are
-  /// alive and values_hashable() holds; requires set_value_capture(true)
-  /// before the registers were constructed.
-  std::uint64_t values_fingerprint() const {
-    std::uint64_t h = 1469598103934665603ull;
-    const auto mix = [&h](std::uint64_t v) {
-      for (int i = 0; i < 8; ++i) {
-        h ^= (v >> (8 * i)) & 0xff;
-        h *= 1099511628211ull;
-      }
-    };
-    mix(hashers_.size());
-    for (std::size_t i = 0; i < hashers_.size(); ++i) {
-      mix(i + 1);
-      mix(hashers_[i].second(hashers_[i].first));
-    }
-    return h;
   }
 
  private:
   template <class T>
   friend class Register;
-
-  using ValueHasher = std::uint64_t (*)(const void*);
-
-  /// Registers a live register's value-hash thunk (capture mode only).
-  /// Entries dangle once their register is destroyed — the next reset()
-  /// clears them; values_fingerprint() is only called mid-run.
-  void note_hasher(const void* object, ValueHasher hasher) {
-    hashers_.emplace_back(object, hasher);
-  }
-  void mark_unhashable() { hashable_ = false; }
 
   /// Returns the new register's uid: 1-based allocation order, stable
   /// across identical runs — the conflict key mcheck's independence
@@ -111,9 +66,6 @@ class RegisterSpace {
   std::uint64_t allocated_ = 0;
   std::uint64_t reads_ = 0;
   std::uint64_t writes_ = 0;
-  bool capture_ = false;
-  bool hashable_ = true;
-  std::vector<std::pair<const void*, ValueHasher>> hashers_;
 };
 
 /// A register's trace label, spelled out when a trace asks for it.  An
@@ -249,31 +201,7 @@ class Register {
   }
 
  private:
-  void on_allocated() {
-    uid_ = space_->note_allocated();
-    if (space_->value_capture()) {
-      if constexpr (std::has_unique_object_representations_v<T>) {
-        space_->note_hasher(this, &hash_value);
-      } else {
-        space_->mark_unhashable();
-      }
-    }
-  }
-
-  /// Value-hash thunk for RegisterSpace::values_fingerprint(): FNV-1a over
-  /// the object representation (only instantiated for types with unique
-  /// object representations, so padding cannot leak in).
-  static std::uint64_t hash_value(const void* object) {
-    const T& value = static_cast<const Register*>(object)->value_;
-    unsigned char bytes[sizeof(T)];
-    std::memcpy(bytes, &value, sizeof(T));
-    std::uint64_t h = 1469598103934665603ull;
-    for (unsigned char b : bytes) {
-      h ^= b;
-      h *= 1099511628211ull;
-    }
-    return h;
-  }
+  void on_allocated() { uid_ = space_->note_allocated(); }
 
   RegisterSpace* space_;
   T value_;

@@ -7,7 +7,6 @@ namespace tfr::sim {
 Simulation::Simulation(std::unique_ptr<TimingModel> timing, Options options)
     : timing_(std::move(timing)), options_(options), rng_(options.seed) {
   TFR_REQUIRE(timing_ != nullptr);
-  space_.set_value_capture(options_.capture_state);
 }
 
 Simulation::~Simulation() {
@@ -177,53 +176,6 @@ std::vector<std::pair<Time, Pid>> Simulation::pending_events() const {
   events.reserve(copy.size());
   for (const Event& e : copy) events.emplace_back(e.when, e.pid);
   return events;
-}
-
-std::uint64_t Simulation::state_fingerprint() const {
-  std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a
-  auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 0x100000001b3ULL;
-    }
-  };
-  // Pending events, sorted into a layout-independent order (the heap's
-  // internal array depends on push/pop history, which equal states reached
-  // along different paths need not share).  Due times are folded relative
-  // to now so the signature is translation-invariant in absolute time
-  // only when the caller mixes `now` in; we keep it absolute here because
-  // scenario cutoffs and monitors may be time-dependent.
-  std::vector<Event> copy = queue_.raw();
-  std::sort(copy.begin(), copy.end(), [](const Event& a, const Event& b) {
-    if (a.when != b.when) return a.when < b.when;
-    if (a.pid != b.pid) return a.pid < b.pid;
-    return a.callback < b.callback;
-  });
-  mix(static_cast<std::uint64_t>(now_));
-  mix(copy.size());
-  for (const Event& e : copy) {
-    mix(static_cast<std::uint64_t>(e.when - now_));
-    mix(static_cast<std::uint64_t>(e.pid));
-    mix(static_cast<std::uint64_t>(e.kind));
-    mix(e.reg_uid);
-    mix(static_cast<std::uint64_t>(e.callback >= 0 ? 1 : 0));
-  }
-  // Per-process accounting: the op-count proxy for each coroutine's
-  // control state (see the header caveat).
-  mix(stats_.size());
-  for (const ProcessStats& s : stats_) {
-    mix(s.reads);
-    mix(s.writes);
-    mix(s.delays);
-    mix(static_cast<std::uint64_t>(s.delay_time));
-    mix(static_cast<std::uint64_t>(s.done_at));
-    mix(static_cast<std::uint64_t>(s.crashed ? 1 : 0));
-  }
-  // Shared-memory contents (capture mode only; otherwise the caller must
-  // have checked state_hashable() — without capture the signature simply
-  // omits values, which is only safe when the caller tolerates it).
-  if (options_.capture_state) mix(space_.values_fingerprint());
-  return h;
 }
 
 std::uint64_t Simulation::trace_hash() const {

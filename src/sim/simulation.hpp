@@ -235,11 +235,6 @@ struct SimulationOptions {
   /// strategy instead of FIFO order (mcheck exploration / replay).  Must
   /// outlive the simulation.
   SchedulerStrategy* strategy = nullptr;
-  /// When true, registers announce value-hash thunks to the RegisterSpace
-  /// so state_fingerprint() can fold shared-memory contents in — mcheck's
-  /// frontier state hashing.  Off by default: capture costs one registry
-  /// append per register construction.
-  bool capture_state = false;
 };
 
 class Simulation {
@@ -354,23 +349,6 @@ class Simulation {
 
   /// Snapshot of pending (time, pid) events — diagnosis and tests.
   std::vector<std::pair<Time, Pid>> pending_events() const;
-
-  /// FNV-1a signature of the *current* simulation state: pending events
-  /// (relative due times, pid, kind, register), per-process accounting
-  /// (reads/writes/delays/done/crashed — a proxy for each coroutine's
-  /// control state) and, with Options::capture_state, every live
-  /// register's value.  Two runs reaching an equal true state hash equal;
-  /// the converse is probabilistic (64-bit) and the process-state proxy is
-  /// not exact — callers using this to prune exploration accept that
-  /// caveat (see mcheck::Reduction::kSourceDpor).
-  std::uint64_t state_fingerprint() const;
-
-  /// False when some live register's value type cannot be byte-hashed;
-  /// state_fingerprint() is then blind to register contents and pruning
-  /// on it would be unsound.
-  bool state_hashable() const {
-    return !options_.capture_state || space_.values_hashable();
-  }
 
   /// FNV-1a hash of the linearization trace (requires Options::trace).
   std::uint64_t trace_hash() const;

@@ -235,7 +235,6 @@ void expect_stats_equal(const mcheck::ExploreStats& parallel,
   EXPECT_EQ(parallel.sleep_blocked, serial.sleep_blocked);
   EXPECT_EQ(parallel.races_detected, serial.races_detected);
   EXPECT_EQ(parallel.source_pruned, serial.source_pruned);
-  EXPECT_EQ(parallel.state_pruned, serial.state_pruned);
   EXPECT_EQ(parallel.truncated, serial.truncated);
   EXPECT_EQ(parallel.complete, serial.complete);
 }
@@ -336,24 +335,23 @@ TEST(McheckParallel, AbdFastReadShrinksTheScheduleSpace) {
   EXPECT_LT(fast.stats.executions, stock.stats.executions);
 }
 
-// The frontier depth only changes how work is partitioned, never what is
-// counted: extreme depths (1 = a handful of huge subtrees, 64 = every
-// probe ends as a short-leaf singleton item) must all reproduce the
-// serial stats.
-TEST(McheckParallel, PrefixDepthInsensitive) {
+// The gate splits the tree for every Reduction, not only kSourceDpor:
+// plain sleep sets and the naive DFS must enumerate, fork and merge to
+// the serial stats too.
+TEST(McheckParallel, NonDporReductionsMatchSerial) {
   mcheck::ExploreConfig config = small_config();
   config.slow_budget = 0;
   const mcheck::CheckScenario scenario = mcheck::make_consensus_scenario({});
-  config.jobs = 1;
-  const mcheck::CheckResult serial = mcheck::check(scenario, config);
-  for (const std::uint32_t depth : {1u, 3u, 64u}) {
-    SCOPED_TRACE("prefix_depth=" + std::to_string(depth));
-    config.jobs = 2;
-    config.prefix_depth = depth;
-    const mcheck::CheckResult parallel = mcheck::check(scenario, config);
-    EXPECT_FALSE(parallel.violation);
-    expect_stats_equal(parallel.stats, serial.stats);
-  }
+  config.reduction = mcheck::Reduction::kSleepSets;
+  const mcheck::CheckResult sleep_sets =
+      expect_parallel_equivalent(scenario, config);
+  EXPECT_FALSE(sleep_sets.violation);
+  EXPECT_EQ(sleep_sets.stats.executions, 302u);
+  config.reduction = mcheck::Reduction::kNone;
+  const mcheck::CheckResult naive =
+      expect_parallel_equivalent(scenario, config);
+  EXPECT_FALSE(naive.violation);
+  EXPECT_EQ(naive.stats.executions, 122944u);
 }
 
 // max_executions is documented as per-worker-subtree in parallel mode;

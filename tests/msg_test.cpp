@@ -1025,7 +1025,9 @@ TEST(NetAdversaryTest, FaultEventsLandInTheTrace) {
   }
   EXPECT_EQ(drops, adversary.drops());
   EXPECT_EQ(partitions, 2u) << "begin + heal markers";
-  if (adversary.drops() > 0) EXPECT_GT(recovery, 0u);
+  if (adversary.drops() > 0) {
+    EXPECT_GT(recovery, 0u);
+  }
 }
 
 }  // namespace
