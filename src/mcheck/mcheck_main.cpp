@@ -6,6 +6,7 @@
 //   $ tfr_mcheck --tfr-mutex      # Algorithm 3 (starvation-free A), n=2
 //   $ tfr_mcheck --fischer --save fischer.run   # save the counterexample
 //   $ tfr_mcheck --fischer --replay fischer.run # re-check a saved run
+//                                  (--replay needs exactly one check)
 //   $ tfr_mcheck --rt               # the real-thread code through the shim
 //
 // Options: --naive (naive DFS, no reduction), --sleep-sets (sleep sets
@@ -389,7 +390,8 @@ int usage() {
       "                  [--eventcount]\n"
       "                  [--naive] [--sleep-sets] [--seed N]\n"
       "                  [--max-executions N] [--jobs N]\n"
-      "                  [--save FILE] [--replay FILE]\n");
+      "                  [--save FILE] [--replay FILE]\n"
+      "--replay FILE needs exactly one check selected\n");
   return 2;
 }
 
@@ -448,6 +450,8 @@ int main(int argc, char** argv) {
       return usage();
     }
   }
+  // A recorded run belongs to the one check it was saved from.
+  if (!replay_path.empty() && selected.size() != 1) return usage();
   if (selected.empty()) selected = sim_checks();
 
   bool ok = true;

@@ -22,20 +22,11 @@ using Consensus = rt::BasicRtConsensus<ShimAtomics>;
 
 constexpr int kConsensusInputs[] = {0, 1};
 
-// Ownership protocol (load-bearing — see RtExecution's teardown contract):
-// the verdict closure solely owns a Holder, so the RtExecution is
-// destroyed exactly when the explorer drops the harness, on the
-// simulation thread.  Thread bodies own only the algorithm state (plus a
-// raw RtExecution pointer for the occupancy probe); the pool workers drop
-// those references before reporting kJobDone, and ~RtExecution
-// synchronizes with kJobDone for every slot, so by the time the Holder
-// releases its own algorithm-state reference it is always the last one —
-// the shared state never gets destroyed from a pool thread.
-template <class Algo>
-struct Holder {
-  std::shared_ptr<Algo> algo;                 // destroyed second
-  std::unique_ptr<rtshim::RtExecution> exec;  // destroyed first
-};
+// Ownership (see RtExecution's ownership contract): each verdict closure
+// owns the run's RtExecution, so it is torn down exactly when the
+// explorer drops the harness.  Thread bodies share-own the algorithm
+// state (plus a raw RtExecution pointer for the occupancy probe), so the
+// state outlives the teardown that unwinds them.
 
 /// A run that goes idle with unfinished threads means every one of them
 /// is parked in atomic::wait with no wakeup in flight: a lost wakeup (or
@@ -55,19 +46,18 @@ CheckScenario make_rt_consensus_scenario() {
       Consensus consensus{{.delta = 2}};
       Consensus::Result results[std::size(kConsensusInputs)];
     };
-    auto holder = std::make_shared<Holder<Algo>>();
-    holder->exec = std::make_unique<rtshim::RtExecution>(simulation);
-    holder->algo = std::make_shared<Algo>();
+    auto exec = std::make_shared<rtshim::RtExecution>(simulation);
+    auto algo = std::make_shared<Algo>();
     for (std::size_t id = 0; id < std::size(kConsensusInputs); ++id) {
-      holder->exec->spawn_thread([algo = holder->algo, id] {
+      exec->spawn_thread([algo, id] {
         algo->results[id] = algo->consensus.propose(kConsensusInputs[id]);
       });
     }
 
     RunHarness harness;
-    harness.verdict = [holder](const RunInfo& info) -> CheckOutcome {
+    harness.verdict = [exec, algo](const RunInfo& info) -> CheckOutcome {
       int agreed = Consensus::kBot;
-      for (const Consensus::Result& result : holder->algo->results) {
+      for (const Consensus::Result& result : algo->results) {
         if (result.value == Consensus::kBot) continue;  // did not finish
         if (agreed != Consensus::kBot && result.value != agreed)
           return {false, "consensus agreement violated"};
@@ -90,41 +80,39 @@ CheckScenario make_rt_mutex_scenario(RtMutexScenarioConfig config) {
     struct Algo {
       std::unique_ptr<rt::BasicRtMutex<ShimAtomics>> lock;
     };
-    auto holder = std::make_shared<Holder<Algo>>();
-    holder->exec = std::make_unique<rtshim::RtExecution>(simulation);
-    holder->algo = std::make_shared<Algo>();
+    auto exec = std::make_shared<rtshim::RtExecution>(simulation);
+    auto algo = std::make_shared<Algo>();
     switch (config.algorithm) {
       case RtMutexScenarioConfig::Algorithm::kFischer:
-        holder->algo->lock =
+        algo->lock =
             std::make_unique<rt::BasicFischerRt<ShimAtomics>>(config.delta);
         break;
       case RtMutexScenarioConfig::Algorithm::kTfrStarvationFree:
-        holder->algo->lock =
+        algo->lock =
             rt::make_basic_tfr_mutex<ShimAtomics>(config.threads,
                                                   config.delta);
         break;
       case RtMutexScenarioConfig::Algorithm::kAtomicLock:
-        holder->algo->lock =
+        algo->lock =
             std::make_unique<rt::BasicAtomicMutexLock<ShimAtomics>>();
         break;
     }
     for (int id = 0; id < config.threads; ++id) {
-      holder->exec->spawn_thread(
-          [algo = holder->algo, exec = holder->exec.get(), id, config] {
-            for (int s = 0; s < config.sessions; ++s) {
-              algo->lock->lock(id);
-              exec->mark_enter();
-              if (config.cs_time > 0) ShimAtomics::delay(config.cs_time);
-              exec->mark_exit();
-              algo->lock->unlock(id);
-            }
-          });
+      exec->spawn_thread([algo, exec = exec.get(), id, config] {
+        for (int s = 0; s < config.sessions; ++s) {
+          algo->lock->lock(id);
+          exec->mark_enter();
+          if (config.cs_time > 0) ShimAtomics::delay(config.cs_time);
+          exec->mark_exit();
+          algo->lock->unlock(id);
+        }
+      });
     }
 
     RunHarness harness;
-    harness.verdict = [holder,
+    harness.verdict = [exec,
                        sim = &simulation](const RunInfo&) -> CheckOutcome {
-      if (holder->exec->me_violations() > 0)
+      if (exec->me_violations() > 0)
         return {false, "mutual exclusion violated (CS occupancy overlap)"};
       return check_parked_at_idle(*sim);
     };
@@ -138,33 +126,30 @@ CheckScenario make_rt_eventcount_scenario(RtEventCountScenarioConfig config) {
       std::unique_ptr<rt::BasicAtomicRegister<int, ShimAtomics>> ready;
       std::unique_ptr<rt::BasicEventCount<ShimAtomics>> events;
     };
-    auto holder = std::make_shared<Holder<Algo>>();
-    holder->exec = std::make_unique<rtshim::RtExecution>(simulation);
-    holder->algo = std::make_shared<Algo>();
-    holder->algo->ready =
-        std::make_unique<rt::BasicAtomicRegister<int, ShimAtomics>>();
-    holder->algo->events = std::make_unique<rt::BasicEventCount<ShimAtomics>>();
+    auto exec = std::make_shared<rtshim::RtExecution>(simulation);
+    auto algo = std::make_shared<Algo>();
+    algo->ready = std::make_unique<rt::BasicAtomicRegister<int, ShimAtomics>>();
+    algo->events = std::make_unique<rt::BasicEventCount<ShimAtomics>>();
 
-    holder->exec->spawn_thread(
-        [algo = holder->algo, torn = config.torn_epoch] {
-          if (torn) {
-            // The bug under test: publishing the epoch before the state
-            // write lets a waiter snapshot the new epoch, read the old
-            // state, and park on an epoch that will never move again.
-            algo->events->advance();
-            algo->ready->write(1);
-          } else {
-            algo->ready->write(1);
-            algo->events->advance();
-          }
-        });
-    holder->exec->spawn_thread([algo = holder->algo] {
+    exec->spawn_thread([algo, torn = config.torn_epoch] {
+      if (torn) {
+        // The bug under test: publishing the epoch before the state write
+        // lets a waiter snapshot the new epoch, read the old state, and
+        // park on an epoch that will never move again.
+        algo->events->advance();
+        algo->ready->write(1);
+      } else {
+        algo->ready->write(1);
+        algo->events->advance();
+      }
+    });
+    exec->spawn_thread([algo] {
       rt::wait_until_changed(*algo->events,
                              [&] { return algo->ready->read() == 1; });
     });
 
     RunHarness harness;
-    harness.verdict = [holder,
+    harness.verdict = [exec,
                        sim = &simulation](const RunInfo&) -> CheckOutcome {
       return check_parked_at_idle(*sim);
     };

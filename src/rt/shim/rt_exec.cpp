@@ -1,11 +1,41 @@
 #include "tfr/rt/shim/rt_exec.hpp"
 
+#include <sys/mman.h>
+#include <ucontext.h>
 #include <unistd.h>
 
-#include <memory>
+#include <cstddef>
+#include <exception>
+#include <new>
 #include <utility>
 
 #include "tfr/common/contracts.hpp"
+
+// Fiber switches must be announced to the sanitizers: ASan tracks which
+// stack is live (or it misreads frames on the fiber stacks), TSan keeps
+// one shadow context per fiber (or it reports the strictly alternating
+// fibers as racing).
+#if defined(__SANITIZE_ADDRESS__)
+#define TFR_FIBER_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define TFR_FIBER_ASAN 1
+#endif
+#endif
+#if defined(__SANITIZE_THREAD__)
+#define TFR_FIBER_TSAN 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define TFR_FIBER_TSAN 1
+#endif
+#endif
+
+#ifdef TFR_FIBER_ASAN
+#include <sanitizer/common_interface_defs.h>
+#endif
+#ifdef TFR_FIBER_TSAN
+#include <sanitizer/tsan_interface.h>
+#endif
 
 namespace tfr::rtshim {
 
@@ -13,87 +43,111 @@ namespace detail {
 
 namespace {
 
-thread_local Slot* tls_slot = nullptr;
+/// Every fiber stack: one fixed size (algorithm bodies are shallow; the
+/// simulation work of each op runs on the pump's stack), with a PROT_NONE
+/// guard page below it so an overflow faults instead of corrupting memory.
+constexpr std::size_t kStackBytes = std::size_t{256} << 10;
+const std::size_t kGuardBytes =
+    static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
 
-/// The pool worker: parks until a job is started, runs it (the whole
-/// algorithm body of one logical thread for one execution), reports done,
-/// parks again.  One OS thread per slot, reused across executions — the
-/// explorer runs the same scenario hundreds of thousands of times and
-/// thread creation would dominate.
-void worker_main(Slot* slot) {
-  std::unique_lock<std::mutex> lk(slot->m);
-  for (;;) {
-    slot->cv.wait(lk, [&] {
-      return slot->phase == Slot::Phase::kRunning || slot->exit;
-    });
-    if (slot->exit) return;
-    std::function<void()> job = std::move(slot->job);
-    slot->job = nullptr;
-    lk.unlock();
-    tls_slot = slot;
-    try {
-      job();
-    } catch (const AbortExecution&) {
-      // Teardown unwind: not an error.
-    } catch (...) {
-      std::lock_guard<std::mutex> guard(slot->m);
-      slot->error = std::current_exception();
-    }
-    tls_slot = nullptr;
-    // Drop the closure before reporting done: it owns the scenario state
-    // (shared_ptr captures), which must die on the simulation side, not
-    // here — teardown returns only after kJobDone, so ordering this first
-    // guarantees the worker never holds the last reference.
-    job = nullptr;
-    lk.lock();
-    slot->phase = Slot::Phase::kJobDone;
-    slot->cv.notify_all();
-  }
+/// Freed stacks are kept for the process's lifetime and reused: the
+/// explorer runs one scenario hundreds of thousands of times, and a
+/// forked parallel worker inherits the list as plain memory.
+std::vector<char*>& free_stacks() {
+  static std::vector<char*> stacks;
+  return stacks;
 }
 
-/// Slots keyed by process id: after a fork() (mcheck's parallel workers)
-/// the child inherits the pool's memory but none of its threads, so the
-/// child abandons the stale object — leaking it deliberately; its mutexes
-/// may be mid-transition — and lazily builds its own.
-class ThreadPool {
- public:
-  static ThreadPool& instance() {
-    static std::mutex g_mutex;
-    static ThreadPool* g_pool = nullptr;
-    static pid_t g_pid = -1;
-    std::lock_guard<std::mutex> lk(g_mutex);
-    const pid_t me = ::getpid();
-    if (g_pool == nullptr || g_pid != me) {
-      g_pool = new ThreadPool();  // intentionally leaked (threads park in it)
-      g_pid = me;
-    }
-    return *g_pool;
+char* acquire_stack() {
+  std::vector<char*>& stacks = free_stacks();
+  if (!stacks.empty()) {
+    char* stack = stacks.back();
+    stacks.pop_back();
+    return stack;
+  }
+  void* base = ::mmap(nullptr, kGuardBytes + kStackBytes,
+                      PROT_READ | PROT_WRITE,
+                      MAP_PRIVATE | MAP_ANONYMOUS | MAP_STACK, -1, 0);
+  if (base == MAP_FAILED) throw std::bad_alloc();
+  TFR_INVARIANT(::mprotect(base, kGuardBytes, PROT_NONE) == 0);
+  return static_cast<char*>(base) + kGuardBytes;
+}
+
+void fiber_main();
+
+}  // namespace
+
+/// One logical thread.  `op` is non-null exactly while the fiber is
+/// suspended in post_op: before its first resume and after its body has
+/// returned it is null.
+struct Slot {
+  std::function<void()> body;
+  char* stack = acquire_stack();
+  ucontext_t fiber{};
+  ucontext_t pump{};  // whoever last resumed the fiber
+  Op* op = nullptr;
+  bool abort = false;  // resume means: unwind via AbortExecution
+  std::exception_ptr error;
+#ifdef TFR_FIBER_ASAN
+  void* pump_fake_stack = nullptr;
+  void* fiber_fake_stack = nullptr;
+  const void* pump_stack = nullptr;
+  std::size_t pump_stack_bytes = 0;
+#endif
+#ifdef TFR_FIBER_TSAN
+  void* tsan_fiber = __tsan_create_fiber(0);
+  void* tsan_pump = nullptr;
+#endif
+
+  explicit Slot(std::function<void()> fn) : body(std::move(fn)) {
+    TFR_INVARIANT_FATAL(::getcontext(&fiber) == 0);
+    fiber.uc_stack.ss_sp = stack;
+    fiber.uc_stack.ss_size = kStackBytes;
+    fiber.uc_link = nullptr;
+    ::makecontext(&fiber, fiber_main, 0);
   }
 
-  Slot* acquire() {
-    std::lock_guard<std::mutex> lk(m_);
-    if (!free_.empty()) {
-      Slot* slot = free_.back();
-      free_.pop_back();
-      return slot;
-    }
-    slots_.push_back(std::make_unique<Slot>());
-    Slot* slot = slots_.back().get();
-    slot->thread = std::thread(worker_main, slot);
-    slot->thread.detach();  // pool lives for the process; never joined
-    return slot;
+  ~Slot() {
+#ifdef TFR_FIBER_TSAN
+    __tsan_destroy_fiber(tsan_fiber);
+#endif
+    free_stacks().push_back(stack);
   }
 
-  void release(Slot* slot) {
-    std::lock_guard<std::mutex> lk(m_);
-    free_.push_back(slot);
-  }
+  Slot(const Slot&) = delete;
+  Slot& operator=(const Slot&) = delete;
 
- private:
-  std::mutex m_;
-  std::vector<std::unique_ptr<Slot>> slots_;
-  std::vector<Slot*> free_;
+  /// Pump side: runs the fiber until it posts its next op (returned) or
+  /// its body returns (nullptr).
+  Op* resume();
+
+  /// Fiber side: switches back to whoever resumed it.  A finished fiber
+  /// switches out for good.
+  void suspend(bool finished);
 };
+
+namespace {
+
+Slot* g_running = nullptr;
+
+void fiber_main() {
+  Slot* slot = g_running;
+#ifdef TFR_FIBER_ASAN
+  __sanitizer_finish_switch_fiber(nullptr, &slot->pump_stack,
+                                  &slot->pump_stack_bytes);
+#endif
+  // Every handler exits before the final switch: the caught-exception
+  // stack belongs to the OS thread, not to this fiber.
+  try {
+    slot->body();
+  } catch (const AbortExecution&) {
+    // Teardown unwind: not an error.
+  } catch (...) {
+    slot->error = std::current_exception();
+  }
+  slot->suspend(/*finished=*/true);
+  TFR_INVARIANT_FATAL(false);  // a finished fiber is never resumed
+}
 
 /// Schedules the posted op into the simulation and applies it at its
 /// linearization instant.  The awaited value is "must the thread park".
@@ -126,14 +180,10 @@ struct ParkAwaiter {
 };
 
 /// The pump: the simulation-side half of one logical thread.
-sim::Process pump(sim::Env env, RtExecution* exec, detail::Slot* slot) {
-  slot->start_job();
-  for (;;) {
-    Op* op = slot->await_op();
-    if (op == nullptr) break;
+sim::Process pump(sim::Env env, RtExecution* exec, Slot* slot) {
+  for (Op* op = slot->resume(); op != nullptr; op = slot->resume()) {
     if (!op->scheduled()) {
       op->immediate(*exec, env.sim());
-      slot->reply(false);
       continue;
     }
     bool park = co_await OpAwaiter{&env.sim(), env.pid(), op};
@@ -141,95 +191,54 @@ sim::Process pump(sim::Env env, RtExecution* exec, detail::Slot* slot) {
       co_await ParkAwaiter{op->wait_list()};
       park = co_await OpAwaiter{&env.sim(), env.pid(), op};
     }
-    slot->reply(false);
   }
   // Propagate real algorithm failures (contract violations, logic bugs in
   // the code under test) into the simulation's exception channel.
-  std::exception_ptr error;
-  {
-    std::lock_guard<std::mutex> lk(slot->m);
-    error = std::exchange(slot->error, nullptr);
-  }
-  if (error) std::rethrow_exception(error);
+  if (slot->error) std::rethrow_exception(std::exchange(slot->error, nullptr));
 }
 
 }  // namespace
 
-void Slot::arm(std::function<void()> body) {
-  std::lock_guard<std::mutex> lk(m);
-  TFR_REQUIRE(phase == Phase::kIdle);
-  job = std::move(body);
+Op* Slot::resume() {
   op = nullptr;
-  abort = false;
-  error = nullptr;
-  phase = Phase::kArmed;
+  g_running = this;
+#ifdef TFR_FIBER_ASAN
+  __sanitizer_start_switch_fiber(&pump_fake_stack, stack, kStackBytes);
+#endif
+#ifdef TFR_FIBER_TSAN
+  tsan_pump = __tsan_get_current_fiber();
+  __tsan_switch_to_fiber(tsan_fiber, 0);
+#endif
+  TFR_INVARIANT_FATAL(::swapcontext(&pump, &fiber) == 0);
+#ifdef TFR_FIBER_ASAN
+  __sanitizer_finish_switch_fiber(pump_fake_stack, nullptr, nullptr);
+#endif
+  g_running = nullptr;
+  return op;
 }
 
-void Slot::start_job() {
-  std::lock_guard<std::mutex> lk(m);
-  TFR_INVARIANT(phase == Phase::kArmed);
-  phase = Phase::kRunning;
-  cv.notify_all();
+void Slot::suspend([[maybe_unused]] bool finished) {
+#ifdef TFR_FIBER_ASAN
+  __sanitizer_start_switch_fiber(finished ? nullptr : &fiber_fake_stack,
+                                 pump_stack, pump_stack_bytes);
+#endif
+#ifdef TFR_FIBER_TSAN
+  __tsan_switch_to_fiber(tsan_pump, 0);
+#endif
+  TFR_INVARIANT_FATAL(::swapcontext(&fiber, &pump) == 0);
+#ifdef TFR_FIBER_ASAN
+  __sanitizer_finish_switch_fiber(fiber_fake_stack, &pump_stack,
+                                  &pump_stack_bytes);
+#endif
 }
 
-detail::Op* Slot::await_op() {
-  std::unique_lock<std::mutex> lk(m);
-  cv.wait(lk, [&] {
-    return phase == Phase::kOpPosted || phase == Phase::kJobDone;
-  });
-  return phase == Phase::kOpPosted ? op : nullptr;
-}
-
-void Slot::reply(bool abort_run) {
-  std::lock_guard<std::mutex> lk(m);
-  TFR_INVARIANT(phase == Phase::kOpPosted);
-  abort = abort_run;
-  phase = Phase::kReplied;
-  cv.notify_all();
-}
-
-void Slot::finish_teardown() {
-  std::unique_lock<std::mutex> lk(m);
-  switch (phase) {
-    case Phase::kArmed:
-      // The pump's kStart never linearized; the thread never started.
-      job = nullptr;
-      break;
-    case Phase::kOpPosted:
-      // Strict alternation guarantees this is the only mid-run state at a
-      // simulation suspension point: unblock the thread with an abort
-      // reply and wait for the unwind to finish.
-      abort = true;
-      phase = Phase::kReplied;
-      cv.notify_all();
-      cv.wait(lk, [&] { return phase == Phase::kJobDone; });
-      break;
-    case Phase::kJobDone:
-      break;
-    case Phase::kIdle:
-    case Phase::kRunning:
-    case Phase::kReplied:
-      TFR_INVARIANT(false);  // impossible between pump resumptions
-      break;
-  }
-  abort = false;
-  error = nullptr;
-  phase = Phase::kIdle;
-}
-
-Slot* current_slot() { return tls_slot; }
+Slot* current_slot() { return g_running; }
 
 void post_op(Op& op) {
-  Slot* slot = tls_slot;
+  Slot* slot = g_running;
   TFR_REQUIRE(slot != nullptr);
-  std::unique_lock<std::mutex> lk(slot->m);
-  TFR_INVARIANT(slot->phase == Slot::Phase::kRunning);
   slot->op = &op;
-  slot->phase = Slot::Phase::kOpPosted;
-  slot->cv.notify_all();
-  slot->cv.wait(lk, [&] { return slot->phase == Slot::Phase::kReplied; });
-  slot->phase = Slot::Phase::kRunning;
-  slot->op = nullptr;
+  slot->suspend(/*finished=*/false);
   if (slot->abort) throw AbortExecution{};
 }
 
@@ -255,10 +264,14 @@ RtExecution::RtExecution(sim::Simulation& sim) : sim_(&sim) {
 }
 
 RtExecution::~RtExecution() {
-  for (detail::Slot* slot : slots_) {
-    slot->finish_teardown();
-    detail::ThreadPool::instance().release(slot);
+  // Strict alternation: at a simulation suspension point every started
+  // fiber is suspended in post_op or finished.  Unwind the suspended ones.
+  for (const std::unique_ptr<detail::Slot>& slot : slots_) {
+    if (slot->op == nullptr) continue;
+    slot->abort = true;
+    TFR_INVARIANT_FATAL(slot->resume() == nullptr);
   }
+  slots_.clear();
   g_current = nullptr;
 }
 
@@ -266,9 +279,9 @@ RtExecution* RtExecution::current() { return g_current; }
 
 void RtExecution::spawn_thread(std::function<void()> body) {
   TFR_REQUIRE(body != nullptr);
-  detail::Slot* slot = detail::ThreadPool::instance().acquire();
-  slot->arm(std::move(body));
-  slots_.push_back(slot);
+  detail::Slot* slot =
+      slots_.emplace_back(std::make_unique<detail::Slot>(std::move(body)))
+          .get();
   sim_->spawn([this, slot](sim::Env env) {
     return detail::pump(env, this, slot);
   });

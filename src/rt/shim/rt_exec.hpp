@@ -9,21 +9,22 @@
 // into a sim::Simulation that the mcheck explorer drives.
 //
 // Mechanics (the CDSChecker/relacy switch-to-master design, adapted to the
-// coroutine simulator): each logical thread is a pooled OS thread running
-// the unmodified algorithm body, paired with a sim::Process "pump"
-// coroutine inside the simulation.  The handshake alternates strictly —
+// coroutine simulator): each logical thread is a fiber — a ucontext on its
+// own stack — running the unmodified algorithm body on the simulation's
+// OS thread, paired with a sim::Process "pump" coroutine inside the
+// simulation.  Control alternates strictly —
 //
-//   thread:  runs until its next shared-memory op, posts it, blocks
-//   pump:    co_awaits the op into the simulation; when the explorer
-//            linearizes it (choosing its interleaving and duration), the
-//            pump applies it to the shared register, replies, and blocks
-//            until the thread posts its next op
+//   fiber:  runs until its next shared-memory op, records it, swaps back
+//   pump:   co_awaits the op into the simulation; when the explorer
+//           linearizes it (choosing its interleaving and duration), the
+//           pump applies it to the shared register and swaps into the
+//           fiber, which runs on to its next op
 //
-// so at every simulation suspension point every algorithm thread is
-// parked: algorithm code is single-threaded in effect (no data races, no
-// TSan noise, deterministic replay) and the explorer owns every
-// interleaving and timing decision, including stretching any access past
-// Δ — the paper's timing failures — via its cost menu.
+// so at every simulation suspension point every algorithm fiber is
+// suspended: algorithm code is single-threaded by construction (no data
+// races, deterministic replay) and the explorer owns every interleaving
+// and timing decision, including stretching any access past Δ — the
+// paper's timing failures — via its cost menu.
 //
 // atomic::wait(old) is modeled as a scheduled read that atomically
 // check-and-parks at its linearization instant iff the value still equals
@@ -40,13 +41,10 @@
 
 #pragma once
 
-#include <condition_variable>
 #include <coroutine>
 #include <cstdint>
-#include <exception>
 #include <functional>
-#include <mutex>
-#include <thread>
+#include <memory>
 #include <vector>
 
 #include "tfr/sim/simulation.hpp"
@@ -54,9 +52,12 @@
 namespace tfr::rtshim {
 
 /// Thrown through algorithm code when an execution is torn down mid-run
-/// (the explorer prunes most runs early); the thread-pool worker catches
-/// it and returns the OS thread to the pool.  Algorithm code instantiated
-/// with ShimAtomics must therefore not be noexcept (Atomics::kNoexceptOps).
+/// (the explorer prunes most runs early); the fiber's entry function
+/// catches it and finishes.  Algorithm code instantiated with ShimAtomics
+/// must therefore not be noexcept (Atomics::kNoexceptOps), and must not
+/// issue shim ops from inside a catch handler: the C++ runtime keeps its
+/// caught-exception stack per OS thread, which all fibers share, so a
+/// fiber may only switch out with no handler active.
 struct AbortExecution {};
 
 class RtExecution;
@@ -68,9 +69,9 @@ struct WaitList {
   std::vector<std::coroutine_handle<>> handles;
 };
 
-/// One shared-memory operation posted by an algorithm thread.  Lives on
-/// the posting thread's stack; the thread stays blocked until the reply,
-/// so the pump may dereference it freely.
+/// One shared-memory operation posted by an algorithm fiber.  Lives on
+/// the fiber's stack; the fiber stays suspended until the pump has
+/// applied it, so the pump may dereference it freely.
 struct Op {
   enum class Kind { kLoad, kStore, kRmw, kWait, kDelay, kNotify, kMark };
 
@@ -89,9 +90,9 @@ struct Op {
     return kind != Kind::kNotify && kind != Kind::kMark;
   }
 
-  /// Scheduled ops: runs on the simulation thread at the linearization
-  /// instant.  Returns true iff the posting thread must park (a kWait
-  /// whose value still equals the expected one — atomic check-and-park).
+  /// Scheduled ops: runs in the pump at the linearization instant.
+  /// Returns true iff the posting thread must park (a kWait whose value
+  /// still equals the expected one — atomic check-and-park).
   virtual bool apply(sim::Simulation&, sim::Pid, sim::Time /*issued*/) {
     return false;
   }
@@ -103,42 +104,18 @@ struct Op {
   virtual WaitList* wait_list() { return nullptr; }
 };
 
-/// The handshake cell pairing one pooled OS thread with one pump.
-struct Slot {
-  enum class Phase {
-    kIdle,      ///< pool thread parked, no job
-    kArmed,     ///< job assigned, waiting for the pump's kStart
-    kRunning,   ///< algorithm code executing between ops
-    kOpPosted,  ///< op posted; thread blocked awaiting the reply
-    kReplied,   ///< pump answered; thread about to resume
-    kJobDone,   ///< job returned (or unwound)
-  };
+/// One logical thread: its fiber, its stack and the op it last posted
+/// (defined in rt_exec.cpp).
+struct Slot;
 
-  std::mutex m;
-  std::condition_variable cv;
-  Phase phase = Phase::kIdle;
-  bool exit = false;   ///< pool shutdown (never set in practice; pool leaks)
-  bool abort = false;  ///< reply means: unwind via AbortExecution
-  std::function<void()> job;
-  Op* op = nullptr;
-  std::exception_ptr error;
-  std::thread thread;
-
-  void arm(std::function<void()> body);
-  void start_job();  // pump side, at kStart
-  Op* await_op();    // pump side; blocks; nullptr = job finished
-  void reply(bool abort_run);
-  void finish_teardown();  // RtExecution dtor side
-};
-
-/// The slot of the shim thread the calling OS thread animates, or nullptr
-/// outside the seam (scenario construction, verdict closures) — shim
-/// cells then fall back to untimed peek/poke, which is exactly right for
-/// initialization and post-run inspection.
+/// The slot of the fiber now running, or nullptr outside the seam
+/// (scenario construction, verdict closures) — shim cells then fall back
+/// to untimed peek/poke, which is exactly right for initialization and
+/// post-run inspection.
 Slot* current_slot();
 
-/// Posts `op` to this thread's pump and blocks until it is applied.
-/// Throws AbortExecution when the execution is being torn down.
+/// Posts `op` to the running fiber's pump and suspends until it is
+/// applied.  Throws AbortExecution when the execution is being torn down.
 void post_op(Op& op);
 
 }  // namespace detail
@@ -146,18 +123,16 @@ void post_op(Op& op);
 /// One model-checked execution of a set of real-thread bodies.  Construct
 /// inside a CheckScenario with the run's Simulation, spawn_thread() each
 /// algorithm body, and let the explorer run the simulation; destroy (or
-/// let the harness closure drop it) to unwind any still-blocked threads
-/// back into the pool.  Exactly one instance may be live per process at a
-/// time (current() is how shim cells find their simulation).
+/// let the harness closure drop it) to unwind any still-suspended fibers
+/// and return their stacks to the process-wide free list.  Exactly one
+/// instance may be live per process at a time (current() is how shim
+/// cells find their simulation).
 ///
 /// Ownership contract: the RtExecution must be owned by the harness
-/// (verdict closure) alone — never by the thread-body closures — so its
-/// destructor runs on the simulation thread when the explorer drops the
-/// harness.  Bodies may share-own the algorithm state they touch: the
-/// pool worker drops a body's closure before reporting its slot done, and
-/// ~RtExecution synchronizes with that report for every slot, so an
-/// algorithm-state reference held alongside the RtExecution is always the
-/// last to drop (see mcheck/rt_scenarios.cpp for the Holder idiom).
+/// (verdict closure), never by the thread-body closures, which it owns
+/// and destroys in ~RtExecution after unwinding any still suspended
+/// mid-op.  Bodies may share-own the algorithm state they touch, which
+/// then outlives that unwind (see mcheck/rt_scenarios.cpp).
 class RtExecution {
  public:
   explicit RtExecution(sim::Simulation& sim);
@@ -188,7 +163,7 @@ class RtExecution {
 
  private:
   sim::Simulation* sim_;
-  std::vector<detail::Slot*> slots_;
+  std::vector<std::unique_ptr<detail::Slot>> slots_;
   int occupancy_ = 0;
   std::uint64_t violations_ = 0;
 };

@@ -2,11 +2,11 @@
 // through the mcheck interposition seam (rt_exec.hpp), plus the
 // ShimAtomics policy that plugs them into the templated rt algorithms.
 //
-// On an algorithm thread each method builds an Op on the caller's stack,
-// posts it to the thread's pump and blocks until the explorer linearizes
-// it; off-thread (scenario construction, verdict closures) the methods
-// fall back to untimed peek/poke, which is the correct semantics for
-// initialization and post-run inspection.  RMWs linearize as a single
+// On an algorithm fiber each method builds an Op on the fiber's stack,
+// posts it to the thread's pump and suspends until the explorer
+// linearizes it; off the seam (scenario construction, verdict closures)
+// the methods fall back to untimed peek/poke, which is the correct
+// semantics for initialization and post-run inspection.  RMWs linearize as a single
 // write-classified event whose new value is computed at the linearization
 // instant — exchange/CAS/fetch_add are atomic at their linearization
 // point exactly as on hardware.  A failed CAS performs (and accounts) a
@@ -315,10 +315,9 @@ class atomic_flag {
   atomic<std::uint32_t> cell_{0};
 };
 
-/// Statistics counter under the seam: the handshake serializes algorithm
-/// threads (with happens-before edges between consecutive runners), so a
-/// plain value is race-free and — unlike a shim cell — adds no events to
-/// the explored state space.
+/// Statistics counter under the seam: algorithm threads are fibers on one
+/// OS thread, run one at a time, so a plain value is race-free and —
+/// unlike a shim cell — adds no events to the explored state space.
 template <class T>
 class serial_counter {
  public:

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 
 #include "tfr/core/consensus_rt.hpp"
 #include "tfr/core/consensus_sim.hpp"
@@ -370,8 +371,8 @@ TEST(McheckParallel, MaxExecutionsReportsIncomplete) {
 //
 // Suite naming is deliberate: McheckRt* suites fork worker processes
 // (jobs > 1) and stay outside the TSan ctest regex; RtShim* suites run
-// everything in-process so the TSan job exercises the pool-thread/pump
-// handshake itself.
+// everything in-process so the TSan job exercises the fiber switches
+// between the pumps and the algorithm bodies.
 
 mcheck::ExploreConfig rt_eventcount_config() {
   mcheck::ExploreConfig config = small_config();
@@ -458,10 +459,9 @@ TEST(McheckRtEventCount, TornEpochLosesWakeupCorrectOrderDoesNot) {
   EXPECT_TRUE(clean.stats.complete);
 }
 
-// Forked-jobs parity for the rt scenarios: pooled shim threads must not
-// leak state across the fork (the pool is pid-keyed; children rebuild it
-// lazily), so jobs {2, 4} reproduce the serial verdict, stats and
-// counterexample bytes exactly.
+// Forked-jobs parity for the rt scenarios: a forked worker inherits the
+// fiber stack free list as plain memory, and jobs {2, 4} reproduce the
+// serial verdict, stats and counterexample bytes exactly.
 TEST(McheckRtParallel, FischerRtViolationMatchesSerial) {
   expect_parallel_equivalent(mcheck::make_rt_mutex_scenario({}),
                              small_config());
@@ -506,7 +506,7 @@ TEST(RtShimConsensus, SoloProposeTakesTheSimTwinsSevenSteps) {
 
 // In-process determinism (TSan-covered): two serial explorations of the
 // same rt scenario are bit-for-bit the same — stats and counterexample —
-// proving the OS-thread/pump handshake injects no nondeterminism (and,
+// proving the fiber/pump alternation injects no nondeterminism (and,
 // under TSan, no data races).
 TEST(RtShimDeterminism, RepeatedEventCountRunsAreIdentical) {
   const mcheck::CheckScenario scenario = mcheck::make_rt_eventcount_scenario({});
@@ -521,7 +521,7 @@ TEST(RtShimDeterminism, RepeatedEventCountRunsAreIdentical) {
 }
 
 // In-process replay (TSan-covered): the recorded lost-wakeup run drives
-// the pooled threads down the identical path, byte-for-byte.
+// the algorithm fibers down the identical path, byte-for-byte.
 TEST(RtShimReplay, EventCountCounterexampleReplaysByteIdentical) {
   const mcheck::CheckScenario scenario = mcheck::make_rt_eventcount_scenario({});
   const mcheck::ExploreConfig config = rt_eventcount_config();
@@ -542,7 +542,7 @@ TEST(RtShimReplay, EventCountCounterexampleReplaysByteIdentical) {
 
 // In-process wait/notify workout (TSan-covered): the AtomicMutex check
 // parks and wakes pump coroutines on every execution, so a clean complete
-// run here means the park-list handshake is race-free.
+// run here means the park-list protocol is race-free.
 TEST(RtShimWaitNotify, AtomicLockVerifiesCleanInProcess) {
   mcheck::RtMutexScenarioConfig scenario;
   scenario.algorithm = mcheck::RtMutexScenarioConfig::Algorithm::kAtomicLock;
@@ -551,6 +551,71 @@ TEST(RtShimWaitNotify, AtomicLockVerifiesCleanInProcess) {
   EXPECT_FALSE(result.violation) << result.what;
   EXPECT_TRUE(result.stats.complete);
   EXPECT_GT(result.stats.executions, 10u);
+}
+
+// Re-running the torn-epoch check must give the same stats and
+// counterexample as `before`: an aborted or failed execution leaves no
+// residue in the reused fiber stacks.
+void expect_eventcount_rerun_identical(const mcheck::CheckResult& before) {
+  const mcheck::CheckResult after = mcheck::check(
+      mcheck::make_rt_eventcount_scenario({}), rt_eventcount_config());
+  expect_stats_equal(before.stats, after.stats);
+  EXPECT_EQ(before.counterexample.to_bytes(), after.counterexample.to_bytes());
+}
+
+// A non-abort exception thrown by a thread body (a contract violation or
+// logic bug in the code under test) surfaces from Simulation::run(),
+// while another body is still parked mid-op.
+TEST(RtShimFailure, BodyExceptionIsRethrownByRun) {
+  const mcheck::CheckResult before = mcheck::check(
+      mcheck::make_rt_eventcount_scenario({}), rt_eventcount_config());
+  {
+    sim::Simulation simulation(std::make_unique<sim::FixedTiming>(1));
+    rtshim::RtExecution exec(simulation);
+    rtshim::atomic<int> cell(0);
+    exec.spawn_thread([&] { cell.wait(0); });
+    exec.spawn_thread([&] {
+      cell.load();
+      throw std::runtime_error("bug in the code under test");
+    });
+    try {
+      simulation.run();
+      ADD_FAILURE() << "run() returned normally";
+    } catch (const std::runtime_error& error) {
+      EXPECT_STREQ(error.what(), "bug in the code under test");
+    }
+  }
+  expect_eventcount_rerun_identical(before);
+}
+
+// Tearing an execution down while a body is parked mid-op unwinds that
+// body through AbortExecution: its RAII destructors run exactly once and
+// the code after the op never runs.
+TEST(RtShimTeardown, ParkedBodyUnwindsItsDestructorsOnce) {
+  const mcheck::CheckResult before = mcheck::check(
+      mcheck::make_rt_eventcount_scenario({}), rt_eventcount_config());
+  struct Guard {
+    int* destroyed;
+    ~Guard() { ++*destroyed; }
+  };
+  int destroyed = 0;
+  bool resumed = false;
+  sim::Simulation simulation(std::make_unique<sim::FixedTiming>(1));
+  auto exec = std::make_unique<rtshim::RtExecution>(simulation);
+  rtshim::atomic<int> cell(0);
+  exec->spawn_thread([&] {
+    const Guard guard{&destroyed};
+    cell.wait(0);  // nobody notifies: parked when the run goes idle
+    resumed = true;
+  });
+  EXPECT_EQ(simulation.run(), sim::Simulation::RunResult::Idle);
+  EXPECT_FALSE(simulation.all_done());
+  EXPECT_EQ(destroyed, 0);
+
+  exec.reset();
+  EXPECT_EQ(destroyed, 1);
+  EXPECT_FALSE(resumed);
+  expect_eventcount_rerun_identical(before);
 }
 
 }  // namespace

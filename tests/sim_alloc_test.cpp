@@ -31,18 +31,27 @@ std::atomic<std::uint64_t> g_alloc_calls{0};
 // Counting overrides for the whole test binary.  Deliberately minimal:
 // route through malloc/free and count calls; gtest's own allocations are
 // outside the measured windows.
-void* operator new(std::size_t size) {
+//
+// None of them is inlined: GCC pairs an inlined malloc() or free() with
+// the operator at the other end and warns -Wmismatched-new-delete.
+[[gnu::noinline]] void* operator new(std::size_t size) {
   g_alloc_calls.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size ? size : 1)) return p;
   throw std::bad_alloc();
 }
 
-void* operator new[](std::size_t size) { return ::operator new(size); }
+[[gnu::noinline]] void* operator new[](std::size_t size) {
+  return ::operator new(size);
+}
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace tfr {
 namespace {
