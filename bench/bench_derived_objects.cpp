@@ -3,12 +3,19 @@
 // universal-construction operations) built from Algorithm 1, with and
 // without timing failures.
 //
+// The objects measured are the shipped ones (derived/derived_rt.hpp),
+// instantiated with ShimAtomics: each thread body is a fiber whose every
+// shared access is scheduled and timed by the sim::Simulation below
+// (rt/shim/rt_exec.hpp), so E11 costs the code that ships, not a
+// transcription of it.
+//
 // Series: per-operation shared-memory steps and completion time (Delta
-// units), plus registers allocated, as n grows.  Expected shape: costs
-// scale with the bit-width of the agreement (elections/TAS ~constant in
-// n), renaming ~n slots worst case, and timing failures slow things down
-// without ever breaking agreement/uniqueness (safety columns implicit:
-// the monitors throw on violation, so completing the table is the check).
+// units), plus the shim cells constructed, as n grows.  Expected shape:
+// costs scale with the bit-width of the agreement (elections/TAS
+// ~constant in n), renaming ~n slots worst case, and timing failures slow
+// things down without ever breaking agreement/uniqueness (safety columns
+// implicit: the audits throw on violation, so completing the table is the
+// check).
 
 #include <algorithm>
 #include <iostream>
@@ -18,18 +25,17 @@
 
 #include "bench_util.hpp"
 #include "tfr/common/contracts.hpp"
-#include "tfr/derived/election_sim.hpp"
-#include "tfr/derived/long_lived_tas_sim.hpp"
-#include "tfr/derived/renaming_sim.hpp"
-#include "tfr/derived/set_consensus_sim.hpp"
-#include "tfr/derived/test_and_set_sim.hpp"
-#include "tfr/derived/universal_sim.hpp"
+#include "tfr/derived/derived_rt.hpp"
+#include "tfr/rt/shim/rt_exec.hpp"
+#include "tfr/rt/shim/shim_atomic.hpp"
 #include "tfr/sim/simulation.hpp"
 #include "tfr/sim/timing.hpp"
 
 using namespace tfr;
 
 namespace {
+
+using Shim = rtshim::ShimAtomics;
 
 constexpr sim::Duration kDelta = 100;
 constexpr std::uint64_t kSeeds = 8;
@@ -48,89 +54,65 @@ struct Measured {
   std::uint64_t registers = 0;
 };
 
-sim::Process elect_body(sim::Env env, derived::SimElection& e, int* out) {
-  *out = co_await e.elect(env);
-}
-
-sim::Process tas_body(sim::Env env, derived::SimTestAndSet& t, int* out) {
-  *out = co_await t.test_and_set(env);
-}
-
-sim::Process rename_body(sim::Env env, derived::SimRenaming& r, int* out) {
-  *out = co_await r.acquire(env);
-}
-
-sim::Process universal_body(sim::Env env, derived::SimUniversal& u, int ops) {
-  for (int k = 0; k < ops; ++k)
-    co_await u.invoke(env, derived::CounterReplica::kAdd, 1);
-}
-
-sim::Process setcons_body(sim::Env env, derived::SimSetConsensus& sc,
-                          std::int64_t input, std::int64_t* out) {
-  *out = co_await sc.propose(env, input);
-}
-
-sim::Process lltas_body(sim::Env env, derived::SimLongLivedTestAndSet& tas,
-                        int sessions) {
-  for (int s = 0; s < sessions; ++s) {
-    for (;;) {
-      const int got = co_await tas.test_and_set(env);
-      if (got == 0) break;
-      co_await env.delay(10);
-    }
-    co_await tas.reset(env);
-  }
-}
-
 Measured measure(const std::string& object, int n, bool failures) {
   Measured m;
   for (std::uint64_t seed = 0; seed < kSeeds; ++seed) {
     sim::Simulation s(timing(failures), {.seed = seed});
     std::vector<int> out(static_cast<std::size_t>(n), -1);
-
-    std::unique_ptr<derived::SimElection> election;
-    std::unique_ptr<derived::SimTestAndSet> tas;
-    std::unique_ptr<derived::SimRenaming> renaming;
-    std::unique_ptr<derived::SimUniversal> universal;
-    std::unique_ptr<derived::SimSetConsensus> setcons;
-    std::unique_ptr<derived::SimLongLivedTestAndSet> lltas;
     std::vector<std::int64_t> out64(static_cast<std::size_t>(n), -1);
 
+    // The objects outlive the execution, whose teardown unwinds any
+    // thread still inside them; shim cells are built while it is live.
+    std::unique_ptr<rt::BasicRtElection<Shim>> election;
+    std::unique_ptr<rt::BasicRtTestAndSet<Shim>> tas;
+    std::unique_ptr<rt::BasicRtRenaming<Shim>> renaming;
+    std::unique_ptr<rt::BasicRtUniversal<Shim>> universal;
+    std::unique_ptr<rt::BasicRtSetConsensus<Shim>> setcons;
+    std::unique_ptr<rt::BasicRtLongLivedTestAndSet<Shim>> lltas;
+    rtshim::RtExecution exec(s);
+
     if (object == "election") {
-      election = std::make_unique<derived::SimElection>(s.space(), kDelta);
+      election = std::make_unique<rt::BasicRtElection<Shim>>(kDelta);
       for (int i = 0; i < n; ++i)
-        s.spawn([&election, slot = &out[static_cast<std::size_t>(i)]](
-                    sim::Env env) { return elect_body(env, *election, slot); });
+        exec.spawn_thread([&election, &out, i] {
+          out[static_cast<std::size_t>(i)] = election->elect(i);
+        });
     } else if (object == "test-and-set") {
-      tas = std::make_unique<derived::SimTestAndSet>(s.space(), kDelta);
+      tas = std::make_unique<rt::BasicRtTestAndSet<Shim>>(kDelta);
       for (int i = 0; i < n; ++i)
-        s.spawn([&tas, slot = &out[static_cast<std::size_t>(i)]](
-                    sim::Env env) { return tas_body(env, *tas, slot); });
+        exec.spawn_thread([&tas, &out, i] {
+          out[static_cast<std::size_t>(i)] = tas->test_and_set(i);
+        });
     } else if (object == "renaming") {
-      renaming = std::make_unique<derived::SimRenaming>(s.space(), kDelta, n);
+      renaming = std::make_unique<rt::BasicRtRenaming<Shim>>(kDelta, n);
       for (int i = 0; i < n; ++i)
-        s.spawn([&renaming, slot = &out[static_cast<std::size_t>(i)]](
-                    sim::Env env) { return rename_body(env, *renaming, slot); });
+        exec.spawn_thread([&renaming, &out, i] {
+          out[static_cast<std::size_t>(i)] = renaming->acquire(i);
+        });
     } else if (object == "set-consensus(k=2)") {
-      setcons =
-          std::make_unique<derived::SimSetConsensus>(s.space(), kDelta, 2);
+      setcons = std::make_unique<rt::BasicRtSetConsensus<Shim>>(kDelta, 2);
       for (int i = 0; i < n; ++i)
-        s.spawn([&setcons, input = std::int64_t{100 + i},
-                 slot = &out64[static_cast<std::size_t>(i)]](sim::Env env) {
-          return setcons_body(env, *setcons, input, slot);
+        exec.spawn_thread([&setcons, &out64, i] {
+          out64[static_cast<std::size_t>(i)] = setcons->propose(i, 100 + i);
         });
     } else if (object == "long-lived-tas") {
-      lltas = std::make_unique<derived::SimLongLivedTestAndSet>(s.space(),
-                                                                kDelta);
+      lltas =
+          std::make_unique<rt::BasicRtLongLivedTestAndSet<Shim>>(kDelta, n);
       for (int i = 0; i < n; ++i)
-        s.spawn([&lltas](sim::Env env) { return lltas_body(env, *lltas, 2); });
+        exec.spawn_thread([&lltas, i] {
+          for (int session = 0; session < 2; ++session) {
+            while (lltas->test_and_set(i) != 0) Shim::delay(10);
+            lltas->reset(i);
+          }
+        });
     } else {
-      universal = std::make_unique<derived::SimUniversal>(
-          s.space(), kDelta, n,
+      universal = std::make_unique<rt::BasicRtUniversal<Shim>>(
+          kDelta, n,
           [] { return std::make_unique<derived::CounterReplica>(); });
       for (int i = 0; i < n; ++i)
-        s.spawn([&universal](sim::Env env) {
-          return universal_body(env, *universal, 2);
+        exec.spawn_thread([&universal, i] {
+          for (int k = 0; k < 2; ++k)
+            universal->invoke(i, derived::CounterReplica::kAdd, 1);
         });
     }
 

@@ -10,12 +10,18 @@
 // completes with a single agreed leader as soon as the storm passes,
 // illustrating the paper's motto: safety always, liveness as soon as the
 // timing constraints are met.
+//
+// The election is the shipped one (tfr/derived/derived_rt.hpp), run on
+// simulated time: each replica is a fiber whose every shared access the
+// simulator schedules and stretches (tfr/rt/shim/rt_exec.hpp).
 
 #include <cstdio>
 #include <memory>
 #include <vector>
 
-#include "tfr/derived/election_sim.hpp"
+#include "tfr/derived/derived_rt.hpp"
+#include "tfr/rt/shim/rt_exec.hpp"
+#include "tfr/rt/shim/shim_atomic.hpp"
 #include "tfr/sim/simulation.hpp"
 #include "tfr/sim/timing.hpp"
 
@@ -23,16 +29,7 @@ namespace {
 
 constexpr tfr::sim::Duration kDelta = 100;
 
-tfr::sim::Process replica(tfr::sim::Env env,
-                          tfr::derived::SimElection& election,
-                          std::vector<int>& winners) {
-  std::printf("[t=%6lld] replica %d joins the election\n",
-              static_cast<long long>(env.now()), env.pid());
-  const int leader = co_await election.elect(env);
-  winners[static_cast<std::size_t>(env.pid())] = leader;
-  std::printf("[t=%6lld] replica %d learns the leader: replica %d\n",
-              static_cast<long long>(env.now()), env.pid(), leader);
-}
+using Election = tfr::rt::BasicRtElection<tfr::rtshim::ShimAtomics>;
 
 }  // namespace
 
@@ -45,13 +42,22 @@ int main() {
       {.begin = 0, .end = 40 * kDelta, .stretched = 6 * kDelta});
 
   tfr::sim::Simulation sim(std::move(injector), {.seed = 2026});
-  tfr::derived::SimElection election(sim.space(), kDelta);
-
   const int replicas = 6;
   std::vector<int> winners(replicas, -1);
+  // The election outlives the execution, whose teardown unwinds the
+  // crashed replicas' fibers; its registers are built while it is live.
+  std::unique_ptr<Election> election;
+  tfr::rtshim::RtExecution exec(sim);
+  election = std::make_unique<Election>(kDelta);
+
   for (int i = 0; i < replicas; ++i) {
-    sim.spawn([&election, &winners](tfr::sim::Env env) {
-      return replica(env, election, winners);
+    exec.spawn_thread([&sim, &election, &winners, i] {
+      std::printf("[t=%6lld] replica %d joins the election\n",
+                  static_cast<long long>(sim.now()), i);
+      const int leader = election->elect(i);
+      winners[static_cast<std::size_t>(i)] = leader;
+      std::printf("[t=%6lld] replica %d learns the leader: replica %d\n",
+                  static_cast<long long>(sim.now()), i, leader);
     });
   }
   // Two replicas die mid-protocol; the others must not block on them.

@@ -50,7 +50,8 @@ sim::Task<int> MsgElection::elect(sim::Env env, AbdClient& client, int id) {
   int candidate = id;
   for (int k = 0; k < kIdBits; ++k) {
     const int b = (candidate >> k) & 1;
-    // Publish the witness before proposing its bit (cf. multivalue_sim).
+    // Publish the witness before proposing its bit (cf.
+    // rt::BasicRtMultiConsensus).
     co_await client.write(env, witness_reg(k, b), candidate + 1);
     const int decided = co_await bits_[static_cast<std::size_t>(k)]->propose(
         env, client, b);

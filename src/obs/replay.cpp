@@ -266,8 +266,8 @@ namespace {
 /// One traced execution of `scenario` under (spec, seed); the returned
 /// string is the binary trace.
 std::string run_traced(std::uint64_t seed, const TimingSpec& spec,
-                       const Scenario& scenario, std::size_t trace_capacity) {
-  TraceSink sink(trace_capacity);
+                       const Scenario& scenario) {
+  TraceSink sink;
   std::unique_ptr<sim::TimingModel> timing = make_timing(spec, &sink);
   std::optional<ReplaySchedule> replayer;
   sim::SimulationOptions options{.seed = seed, .sink = &sink};
@@ -284,22 +284,21 @@ std::string run_traced(std::uint64_t seed, const TimingSpec& spec,
 }  // namespace
 
 RecordedRun record(std::uint64_t seed, const TimingSpec& spec,
-                   const Scenario& scenario, std::size_t trace_capacity) {
+                   const Scenario& scenario) {
   RecordedRun run;
   run.seed = seed;
   run.timing = spec;
-  run.trace = run_traced(seed, spec, scenario, trace_capacity);
+  run.trace = run_traced(seed, spec, scenario);
   return run;
 }
 
-ReplayResult replay(const RecordedRun& run, const Scenario& scenario,
-                    std::size_t trace_capacity) {
+ReplayResult replay(const RecordedRun& run, const Scenario& scenario) {
   ReplayResult result;
-  result.trace = run_traced(run.seed, run.timing, scenario, trace_capacity);
+  result.trace = run_traced(run.seed, run.timing, scenario);
   result.identical = result.trace == run.trace;
   if (!result.identical) {
     // Locate the first diverging *event* for diagnosis.
-    TraceSink golden(trace_capacity), replayed(trace_capacity);
+    TraceSink golden, replayed;
     if (decode_binary(run.trace, golden) &&
         decode_binary(result.trace, replayed)) {
       const std::size_t n = std::min(golden.size(), replayed.size());

@@ -109,8 +109,7 @@ struct RecordedRun {
 /// Runs `scenario` under (spec, seed) with a fresh TraceSink attached and
 /// returns the artifact.
 RecordedRun record(std::uint64_t seed, const TimingSpec& spec,
-                   const Scenario& scenario,
-                   std::size_t trace_capacity = 1 << 20);
+                   const Scenario& scenario);
 
 struct ReplayResult {
   bool identical = false;    ///< replayed trace == recorded trace, bytewise
@@ -119,7 +118,6 @@ struct ReplayResult {
 };
 
 /// Re-runs the recorded execution and compares traces byte-for-byte.
-ReplayResult replay(const RecordedRun& run, const Scenario& scenario,
-                    std::size_t trace_capacity = 1 << 20);
+ReplayResult replay(const RecordedRun& run, const Scenario& scenario);
 
 }  // namespace tfr::obs

@@ -25,9 +25,12 @@
 #include <cstdint>
 #include <deque>
 #include <map>
+#include <memory>
 #include <mutex>
+#include <new>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace tfr::obs {
@@ -89,28 +92,35 @@ struct Event {
 /// Fixed-capacity append-only event log.  append() is lock-free and
 /// wait-free (one fetch_add); events past the capacity are counted in
 /// dropped() rather than silently lost.
+///
+/// The buffer is left uninitialised and each event is constructed in place
+/// by append(), so the pages of a large sink are only mapped as events
+/// arrive: a short trace costs what it records, not the capacity.
 class TraceSink {
  public:
   explicit TraceSink(std::size_t capacity = 1 << 20)
-      : events_(capacity) {}
+      : events_(static_cast<Event*>(::operator new(capacity * sizeof(Event)))),
+        capacity_(capacity) {}
 
   TraceSink(const TraceSink&) = delete;
   TraceSink& operator=(const TraceSink&) = delete;
 
+  ~TraceSink() { ::operator delete(events_); }
+
   /// Appends one event.  Safe from any thread; never allocates.
   void append(const Event& event) noexcept {
     const std::size_t index = count_.fetch_add(1, std::memory_order_relaxed);
-    if (index >= events_.size()) {
+    if (index >= capacity_) {
       dropped_.fetch_add(1, std::memory_order_relaxed);
       return;
     }
-    events_[index] = event;
+    std::construct_at(events_ + index, event);
   }
 
   /// Number of events recorded (excludes dropped ones).
   std::size_t size() const {
     const std::size_t n = count_.load(std::memory_order_acquire);
-    return n < events_.size() ? n : events_.size();
+    return n < capacity_ ? n : capacity_;
   }
 
   std::uint64_t dropped() const {
@@ -121,9 +131,7 @@ class TraceSink {
 
   /// Copy of the recorded prefix, in append order.
   std::vector<Event> snapshot() const {
-    return std::vector<Event>(events_.begin(),
-                              events_.begin() +
-                                  static_cast<std::ptrdiff_t>(size()));
+    return std::vector<Event>(events_, events_ + size());
   }
 
   /// Interns `name`, returning its stable nonzero label id.  Takes a lock;
@@ -187,7 +195,10 @@ class TraceSink {
   }
 
  private:
-  std::vector<Event> events_;
+  static_assert(std::is_trivially_destructible_v<Event>);
+
+  Event* events_;  ///< capacity_ slots; [0, size()) constructed
+  std::size_t capacity_;
   std::atomic<std::size_t> count_{0};
   std::atomic<std::uint64_t> dropped_{0};
 

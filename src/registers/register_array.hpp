@@ -14,12 +14,20 @@
 // fresh segment's cells are constructed already holding the initial
 // value, so growing the array is storage management, not a register
 // write the checker would have to interleave.
+//
+// A policy caps how many cells one segment builds (Atomics::
+// kMaxSegmentCells).  A segment wider than the cap is itself a
+// RegisterArray of cap-sized segments, so the capacity stays SegmentSize *
+// MaxSegments.  StdAtomics has no cap: production segments are flat.  The
+// shim caps at 8, because each shim cell is a simulator register and a
+// checked execution touches only a few cells of each array.
 
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <memory>
+#include <type_traits>
 
 #include "tfr/common/contracts.hpp"
 #include "tfr/registers/atomic_register.hpp"
@@ -61,7 +69,7 @@ class RegisterArray {
     // mo-ok: acquire pairs with the publishing CAS.
     Segment* segment = spine_[seg].load(std::memory_order_acquire);
     if (segment == nullptr) segment = publish_segment(seg);
-    return (*segment)[off];
+    return segment->at(off);
   }
 
   /// Read without allocating: `fallback` when the segment is absent (i.e.
@@ -73,7 +81,7 @@ class RegisterArray {
     TFR_REQUIRE(seg < kMaxSegments);
     // mo-ok: acquire pairs with the publishing CAS.
     Segment* segment = spine_[seg].load(std::memory_order_acquire);
-    return segment ? (*segment)[off].read() : fallback;
+    return segment ? segment->peek(off, fallback) : fallback;
   }
 
   /// Number of segments currently allocated (coarse space accounting).
@@ -82,26 +90,24 @@ class RegisterArray {
     return segments_allocated_.load(std::memory_order_relaxed);
   }
 
-  /// Registers backed by allocated segments.
-  std::size_t registers_allocated() const {
-    return segments_allocated() * kSegmentSize;
-  }
-
  private:
   /// kSegmentSize cells, each constructed holding the array's initial
   /// value (cells are neither copyable nor movable, hence the raw slots).
-  class Segment {
+  class Cells {
    public:
-    explicit Segment(T initial) {
+    explicit Cells(T initial) {
       for (Slot& slot : slots_) std::construct_at(&slot.cell, initial);
     }
-    Segment(const Segment&) = delete;
-    Segment& operator=(const Segment&) = delete;
-    ~Segment() {
+    Cells(const Cells&) = delete;
+    Cells& operator=(const Cells&) = delete;
+    ~Cells() {
       for (Slot& slot : slots_) std::destroy_at(&slot.cell);
     }
 
-    Cell& operator[](std::size_t off) { return slots_[off].cell; }
+    Cell& at(std::size_t off) { return slots_[off].cell; }
+    T peek(std::size_t off, T /*fallback*/) const {
+      return slots_[off].cell.read();
+    }
 
    private:
     union Slot {
@@ -111,6 +117,14 @@ class RegisterArray {
     };
     Slot slots_[kSegmentSize];
   };
+
+  static constexpr std::size_t kCap = Atomics::kMaxSegmentCells;
+  static_assert(kSegmentSize <= kCap || kSegmentSize % kCap == 0,
+                "a capped segment splits into whole cap-sized segments");
+  /// Flat cells within the policy's cap, a nested array beyond it.
+  using Segment =
+      std::conditional_t<(kSegmentSize <= kCap), Cells,
+                         RegisterArray<T, kCap, kSegmentSize / kCap, Atomics>>;
 
   Segment* publish_segment(std::size_t seg) {
     auto fresh = std::make_unique<Segment>(initial_);

@@ -30,6 +30,9 @@
 //                  spinning is useless when the checker owns time)
 //   kNoexceptOps — whether lock/unlock may be declared noexcept (the
 //                  shim aborts executions by throwing through them)
+//   kMaxSegmentCells — most cells an rt::RegisterArray segment builds at
+//                  once (no cap in production; 8 under the shim, where
+//                  every cell is a simulator register)
 //   pause()      — one polite spin iteration
 //   delay(d)     — the paper's delay statement (precise busy-wait /
 //                  simulated-time delay)
@@ -38,7 +41,9 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <thread>
 
 #include "tfr/registers/fault_injector.hpp"
@@ -78,6 +83,8 @@ struct StdAtomics {
 
   static constexpr unsigned kSpinBudget = kDefaultSpinBudget;
   static constexpr bool kNoexceptOps = true;
+  static constexpr std::size_t kMaxSegmentCells =
+      std::numeric_limits<std::size_t>::max();
 
   static void pause() noexcept { cpu_relax(); }
 

@@ -1,12 +1,18 @@
-// The atomic interposition seam: running real rt thread code under mcheck.
+// The atomic interposition seam: running real rt thread code on the
+// simulator, under mcheck or on a plain sim::Simulation.
 //
 // Model checkers usually verify a *transcription* of an algorithm into
 // their own modeling language, leaving a gap between the checked model and
-// the shipped code.  This seam closes that gap for the rt locks: the same
-// templated source (mutex/mutex_rt.hpp, rt/atomic_mutex.hpp) that
-// production compiles against std::atomic is instantiated with ShimAtomics
-// (shim_atomic.hpp), whose cells forward every load/store/RMW/wait/notify
-// into a sim::Simulation that the mcheck explorer drives.
+// the shipped code.  This seam closes that gap: the same templated source
+// (core/consensus_rt.hpp, mutex/mutex_rt.hpp, rt/atomic_mutex.hpp,
+// derived/derived_rt.hpp) that production compiles against std::atomic is
+// instantiated with ShimAtomics (shim_atomic.hpp), whose cells forward
+// every load/store/RMW/wait/notify into a sim::Simulation.  The mcheck
+// explorer drives that simulation to enumerate interleavings and timings;
+// without an explorer, the simulation's own timing model, failure
+// injector and crash schedule drive it, which is how experiment E11, the
+// derived-object tests and the leader_election example run the shipped
+// derived objects.
 //
 // Mechanics (the CDSChecker/relacy switch-to-master design, adapted to the
 // coroutine simulator): each logical thread is a fiber — a ucontext on its
@@ -120,9 +126,9 @@ void post_op(Op& op);
 
 }  // namespace detail
 
-/// One model-checked execution of a set of real-thread bodies.  Construct
-/// inside a CheckScenario with the run's Simulation, spawn_thread() each
-/// algorithm body, and let the explorer run the simulation; destroy (or
+/// One simulated execution of a set of real-thread bodies.  Construct
+/// with the run's Simulation (inside a CheckScenario under mcheck),
+/// spawn_thread() each algorithm body, and run the simulation; destroy (or
 /// let the harness closure drop it) to unwind any still-suspended fibers
 /// and return their stacks to the process-wide free list.  Exactly one
 /// instance may be live per process at a time (current() is how shim
@@ -131,8 +137,9 @@ void post_op(Op& op);
 /// Ownership contract: the RtExecution must be owned by the harness
 /// (verdict closure), never by the thread-body closures, which it owns
 /// and destroys in ~RtExecution after unwinding any still suspended
-/// mid-op.  Bodies may share-own the algorithm state they touch, which
-/// then outlives that unwind (see mcheck/rt_scenarios.cpp).
+/// mid-op.  The algorithm state the bodies touch must outlive that
+/// unwind: bodies share-own it (mcheck/rt_scenarios.cpp), or it is owned
+/// by an object declared before the RtExecution (bench E11).
 class RtExecution {
  public:
   explicit RtExecution(sim::Simulation& sim);

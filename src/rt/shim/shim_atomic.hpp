@@ -376,6 +376,9 @@ struct ShimAtomics {
   static constexpr unsigned kSpinBudget = 0;
   /// Teardown unwinds AbortExecution through algorithm frames.
   static constexpr bool kNoexceptOps = false;
+  /// Every cell is a simulator register, and a checked execution touches
+  /// a handful of each array's cells: build them 8 at a time.
+  static constexpr std::size_t kMaxSegmentCells = 8;
 
   static void pause() {}
 

@@ -1,21 +1,18 @@
 // Tests for the §4-extension modules: ablation variants of Algorithm 1,
-// transient memory-failure hooks, RMR accounting, k-set consensus, and
-// the long-lived (generational) test-and-set — including using the latter
-// as a mutual-exclusion lock.
+// transient memory-failure hooks, RMR accounting, quantum scheduling and
+// bounded rounds.  k-set consensus and the long-lived test-and-set are
+// tested with the other derived objects (derived_shim_test.cpp).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
-#include <set>
 #include <vector>
 
 #include "tfr/common/contracts.hpp"
 #include "tfr/core/consensus_ablation_sim.hpp"
 #include "tfr/core/consensus_sim.hpp"
-#include "tfr/derived/long_lived_tas_sim.hpp"
 #include "tfr/mutex/workload_sim.hpp"
-#include "tfr/derived/set_consensus_sim.hpp"
 #include "tfr/sim/monitor.hpp"
 #include "tfr/sim/simulation.hpp"
 #include "tfr/sim/timing.hpp"
@@ -305,162 +302,6 @@ TEST(BoundedRounds, ViolatedPromiseTripsTheContract) {
     }
   }
   EXPECT_TRUE(tripped);
-}
-
-// --- k-set consensus ---------------------------------------------------------------
-
-sim::Process set_propose(sim::Env env, derived::SimSetConsensus& sc,
-                         std::int64_t input, std::int64_t* out) {
-  *out = co_await sc.propose(env, input);
-}
-
-TEST(SetConsensus, AtMostKValuesAndValidity) {
-  for (const int k : {1, 2, 3}) {
-    for (std::uint64_t seed = 0; seed < 10; ++seed) {
-      const int n = 9;
-      sim::Simulation s(make_uniform_timing(1, kDelta), {.seed = seed});
-      derived::SimSetConsensus sc(s.space(), kDelta, k);
-      std::vector<std::int64_t> inputs, out(n, -1);
-      for (int i = 0; i < n; ++i) inputs.push_back(100 + i);
-      for (int i = 0; i < n; ++i) {
-        s.spawn([&sc, input = inputs[static_cast<std::size_t>(i)],
-                 slot = &out[static_cast<std::size_t>(i)]](sim::Env env) {
-          return set_propose(env, sc, input, slot);
-        });
-      }
-      s.run(100'000'000);
-      std::set<std::int64_t> decided(out.begin(), out.end());
-      EXPECT_LE(decided.size(), static_cast<std::size_t>(k))
-          << "k=" << k << " seed=" << seed;
-      for (auto v : out)
-        EXPECT_TRUE(std::count(inputs.begin(), inputs.end(), v) > 0);
-    }
-  }
-}
-
-TEST(SetConsensus, K1DegeneratesToConsensus) {
-  sim::Simulation s(make_uniform_timing(1, kDelta), {.seed = 7});
-  derived::SimSetConsensus sc(s.space(), kDelta, 1);
-  std::vector<std::int64_t> out(5, -1);
-  for (int i = 0; i < 5; ++i) {
-    s.spawn([&sc, input = std::int64_t{10 + i},
-             slot = &out[static_cast<std::size_t>(i)]](sim::Env env) {
-      return set_propose(env, sc, input, slot);
-    });
-  }
-  s.run(100'000'000);
-  for (auto v : out) EXPECT_EQ(v, out[0]);
-}
-
-TEST(SetConsensus, SafeUnderTimingFailures) {
-  for (std::uint64_t seed = 0; seed < 8; ++seed) {
-    sim::Simulation s(faulty(0.15), {.seed = seed});
-    derived::SimSetConsensus sc(s.space(), kDelta, 2);
-    std::vector<std::int64_t> out(6, -1);
-    for (int i = 0; i < 6; ++i) {
-      s.spawn([&sc, input = std::int64_t{50 + i},
-               slot = &out[static_cast<std::size_t>(i)]](sim::Env env) {
-        return set_propose(env, sc, input, slot);
-      });
-    }
-    s.run(500'000'000);
-    std::set<std::int64_t> decided(out.begin(), out.end());
-    EXPECT_LE(decided.size(), 2u) << "seed=" << seed;
-  }
-}
-
-// --- Long-lived test-and-set ------------------------------------------------------
-
-sim::Process tas_lock_sessions(sim::Env env,
-                               derived::SimLongLivedTestAndSet& tas,
-                               sim::MutexMonitor& mon, int sessions) {
-  for (int s = 0; s < sessions;) {
-    mon.enter_entry(env.pid(), env.now());
-    for (;;) {
-      const int got = co_await tas.test_and_set(env);
-      if (got == 0) break;
-      co_await env.delay(10);  // back off before retrying
-    }
-    mon.enter_cs(env.pid(), env.now());
-    co_await env.delay(20);
-    mon.exit_cs(env.pid(), env.now());
-    co_await tas.reset(env);
-    mon.leave_exit(env.pid(), env.now());
-    ++s;
-  }
-}
-
-TEST(LongLivedTas, WorksAsMutexLock) {
-  for (std::uint64_t seed = 0; seed < 8; ++seed) {
-    sim::Simulation s(make_uniform_timing(1, kDelta), {.seed = seed});
-    derived::SimLongLivedTestAndSet tas(s.space(), kDelta);
-    sim::MutexMonitor mon;
-    for (int i = 0; i < 3; ++i) {
-      s.spawn([&tas, &mon](sim::Env env) {
-        return tas_lock_sessions(env, tas, mon, 4);
-      });
-    }
-    s.run(1'000'000'000);
-    EXPECT_EQ(mon.mutual_exclusion_violations(), 0u) << "seed=" << seed;
-    EXPECT_EQ(mon.cs_entries(), 12u) << "seed=" << seed;
-    EXPECT_GE(tas.generations(), 12u);
-  }
-}
-
-TEST(LongLivedTas, MutexHoldsUnderTimingFailures) {
-  for (std::uint64_t seed = 0; seed < 5; ++seed) {
-    sim::Simulation s(faulty(0.1), {.seed = seed});
-    derived::SimLongLivedTestAndSet tas(s.space(), kDelta);
-    sim::MutexMonitor mon;
-    for (int i = 0; i < 3; ++i) {
-      s.spawn([&tas, &mon](sim::Env env) {
-        return tas_lock_sessions(env, tas, mon, 3);
-      });
-    }
-    s.run(4'000'000'000);
-    EXPECT_EQ(mon.mutual_exclusion_violations(), 0u) << "seed=" << seed;
-    EXPECT_EQ(mon.cs_entries(), 9u) << "seed=" << seed;
-  }
-}
-
-sim::Process single_tas(sim::Env env, derived::SimLongLivedTestAndSet& tas,
-                        int* out) {
-  *out = co_await tas.test_and_set(env);
-}
-
-sim::Process reset_expect_throw(sim::Env env,
-                                derived::SimLongLivedTestAndSet& tas,
-                                bool* threw) {
-  try {
-    co_await tas.reset(env);  // never won anything
-  } catch (const ContractViolation&) {
-    *threw = true;
-  }
-}
-
-TEST(LongLivedTas, OneWinnerPerGeneration) {
-  sim::Simulation s(make_uniform_timing(1, kDelta), {.seed = 3});
-  derived::SimLongLivedTestAndSet tas(s.space(), kDelta);
-  std::vector<int> got(4, -1);
-  for (int i = 0; i < 4; ++i) {
-    s.spawn([&tas, slot = &got[static_cast<std::size_t>(i)]](sim::Env env) {
-      return single_tas(env, tas, slot);
-    });
-  }
-  s.run(100'000'000);
-  EXPECT_EQ(std::count(got.begin(), got.end(), 0), 1);
-  EXPECT_EQ(std::count(got.begin(), got.end(), 1), 3);
-}
-
-TEST(LongLivedTas, ResetByNonWinnerRejected) {
-  sim::Simulation s(make_fixed_timing(10));
-  derived::SimLongLivedTestAndSet tas(s.space(), kDelta);
-  bool threw = false;
-  s.spawn([&tas, &threw](sim::Env env) {
-    return reset_expect_throw(env, tas, &threw);
-  });
-  s.run();
-  EXPECT_TRUE(threw);
 }
 
 }  // namespace

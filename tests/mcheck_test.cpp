@@ -8,12 +8,14 @@
 #include <memory>
 #include <stdexcept>
 
+#include "tfr/common/contracts.hpp"
 #include "tfr/core/consensus_rt.hpp"
 #include "tfr/core/consensus_sim.hpp"
 #include "tfr/mcheck/explorer.hpp"
 #include "tfr/mcheck/rt_scenarios.hpp"
 #include "tfr/mcheck/scenarios.hpp"
 #include "tfr/obs/replay.hpp"
+#include "tfr/registers/register_array.hpp"
 #include "tfr/rt/shim/rt_exec.hpp"
 #include "tfr/rt/shim/shim_atomic.hpp"
 #include "tfr/sim/timing.hpp"
@@ -502,6 +504,27 @@ TEST(RtShimConsensus, SoloProposeTakesTheSimTwinsSevenSteps) {
   ASSERT_EQ(twin.steps.size(), 1u);
   EXPECT_EQ(simulation.stats(0).accesses(), twin.steps[0]);
   EXPECT_EQ(simulation.stats(0).delays, twin.delays[0]);
+}
+
+// Under the shim every cell is a simulator register, so a segment builds
+// at most ShimAtomics::kMaxSegmentCells of them; the array keeps the
+// capacity of its SegmentSize * MaxSegments shape.
+TEST(RtShimRegisters, SegmentsBuildEightCellsAndKeepCapacity) {
+  using Array = rt::RegisterArray<int, 1024, 4, rtshim::ShimAtomics>;
+  sim::Simulation simulation(std::make_unique<sim::FixedTiming>(1));
+  rtshim::RtExecution exec(simulation);
+  Array array(-1);
+  EXPECT_EQ(array.peek(17, -2), -2);  // absent: nothing built
+  EXPECT_EQ(simulation.space().allocated(), 0u);
+  array.at(17).write(5);
+  EXPECT_EQ(simulation.space().allocated(), 8u);
+  EXPECT_EQ(array.at(16).read(), -1);
+  EXPECT_EQ(array.peek(17, -2), 5);
+  EXPECT_EQ(array.peek(24, -2), -2);  // next 8-cell segment: not built
+  array.at(4 * 1024 - 1).write(7);
+  EXPECT_EQ(simulation.space().allocated(), 16u);
+  EXPECT_EQ(array.segments_allocated(), 2u);
+  EXPECT_THROW(array.at(4 * 1024), ContractViolation);
 }
 
 // In-process determinism (TSan-covered): two serial explorations of the

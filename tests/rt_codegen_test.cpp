@@ -16,6 +16,7 @@
 #include <utility>
 
 #include "tfr/core/consensus_rt.hpp"
+#include "tfr/derived/derived_rt.hpp"
 #include "tfr/mutex/lock_adapters.hpp"
 #include "tfr/mutex/mutex_rt.hpp"
 #include "tfr/registers/atomic_register.hpp"
@@ -52,6 +53,21 @@ static_assert(std::is_same_v<rt::AtomicRegister<int>,
                              rt::BasicAtomicRegister<int, rt::StdAtomics>>);
 static_assert(std::is_same_v<rt::RtConsensus,
                              rt::BasicRtConsensus<rt::StdAtomics>>);
+static_assert(std::is_same_v<rt::RtMultiConsensus,
+                             rt::BasicRtMultiConsensus<rt::StdAtomics>>);
+static_assert(
+    std::is_same_v<rt::RtElection, rt::BasicRtElection<rt::StdAtomics>>);
+static_assert(std::is_same_v<rt::RtTestAndSet,
+                             rt::BasicRtTestAndSet<rt::StdAtomics>>);
+static_assert(
+    std::is_same_v<rt::RtRenaming, rt::BasicRtRenaming<rt::StdAtomics>>);
+static_assert(std::is_same_v<rt::RtSetConsensus,
+                             rt::BasicRtSetConsensus<rt::StdAtomics>>);
+static_assert(
+    std::is_same_v<rt::RtLongLivedTestAndSet,
+                   rt::BasicRtLongLivedTestAndSet<rt::StdAtomics>>);
+static_assert(
+    std::is_same_v<rt::RtUniversal, rt::BasicRtUniversal<rt::StdAtomics>>);
 
 // Algorithm 1's register arrays: a default cell is the production
 // register, and RtConsensus keeps the footprint the pre-seam class had
